@@ -5,16 +5,12 @@ file drives everything; command-line flags override config fields, which
 override defaults.  Outputs are deterministic given (config, seed) and every
 file echoes the config hash.  Exit codes: 0 success, 2 validation failure,
 3 budget exceeded, 4 construction error.
-
-Thread count comes from the SLOWTORUS_THREADS environment variable (numeric
-work is vectorized; the variable caps the helper pool for orbit batches).
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,6 +26,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 EXIT_CONSTRUCTION = 4
+
+
+class ConfigError(ValueError):
+    """A config names fields ExperimentConfig does not have."""
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def load_config(path: Optional[str], overrides: dict) -> ExperimentConfig:
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     unknown = set(data) - known
     if unknown:
-        raise SystemExit(f"unknown config fields: {sorted(unknown)}")
+        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     return ExperimentConfig(**data)
 
 
@@ -119,7 +119,11 @@ def _resolve_horizons(cfg: ExperimentConfig, stage: params.StageParams) -> list[
 
 def cmd_params(cfg: ExperimentConfig) -> int:
     profile = cfg.profile()
-    chain = params.build_chain(profile, cfg.n_max)
+    try:
+        chain = params.build_chain(profile, cfg.n_max)
+    except params.ProfileError as exc:
+        print(f"construction error: {exc}", file=sys.stderr)
+        return EXIT_CONSTRUCTION
     report = params.validate_chain(chain, profile)
     outdir = Path(cfg.outdir)
     reporting.write_with_header(outdir / "chain.json", cfg, params.chain_to_json(chain))
@@ -133,14 +137,19 @@ def cmd_params(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _budget_estimate(cfg: ExperimentConfig, horizons: Sequence[int]) -> float:
-    per_stage = sum(h * cfg.grid * cfg.grid for h in horizons)
-    hamming = max(horizons) * cfg.hamming_samples
-    stages = max(1, cfg.n_max - cfg.n_min + 1)
-    return float(stages * (per_stage * len(cfg.eps_list) + hamming))
+def _budget_estimate(cfg: ExperimentConfig, max_horizons: Sequence[int]) -> float:
+    """Orbit evaluations of a run: per measured stage, the grid and the
+    Hamming samples, each followed to the stage's largest horizon."""
+    return float(sum((cfg.grid * cfg.grid + cfg.hamming_samples) * m for m in max_horizons))
 
 
 def cmd_run(cfg: ExperimentConfig, force: bool = False) -> int:
+    try:
+        for eps in cfg.eps_list:
+            cx.check_grid(cfg.grid, eps)
+    except cx.GridError as exc:
+        print(f"validation failure: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     profile = cfg.profile()
     outdir = Path(cfg.outdir)
     try:
@@ -157,11 +166,9 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> int:
         print(f"construction error: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
 
-    all_horizons: list[int] = []
-    for st in built.chain:
-        if cfg.n_min <= st.n <= cfg.n_max:
-            all_horizons.extend(_resolve_horizons(cfg, st))
-    est = _budget_estimate(cfg, all_horizons)
+    measured = [st for st in built.chain if cfg.n_min <= st.n <= cfg.n_max]
+    horizons = {st.n: _resolve_horizons(cfg, st) for st in measured}
+    est = _budget_estimate(cfg, [max(h) for h in horizons.values()])
     if est > cfg.max_orbit_evals and not force:
         print(
             f"budget exceeded: estimated {est:.3g} orbit evaluations "
@@ -172,28 +179,20 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> int:
 
     records: list[cx.CountRecord] = []
     summary: list[str] = []
-    for st in built.chain:
-        if not (cfg.n_min <= st.n <= cfg.n_max):
-            continue
+    part = cx.GridPartition(cfg.hamming_partition, cfg.hamming_partition)
+    eps_h = max(cfg.eps_list)
+    for st in measured:
         sys_n = built.system(st.n)
-        horizons = _resolve_horizons(cfg, st)
+        # the stage's orbit array lives only inside bowen_counts, so it is
+        # released before the Hamming words are built
+        counts = cx.bowen_counts(sys_n, cfg.grid, horizons[st.n], cfg.eps_list)
         for eps in cfg.eps_list:
-            for m in horizons:
-                bc = cx.BowenConfig(n_time=m, eps=eps, grid=cfg.grid)
-                sep = cx.max_separated(sys_n, bc)
-                cov = cx.min_cover(sys_n, bc)
-                records.append(
-                    cx.CountRecord(st.n, st.q, m, eps, "separated", sep.count)
-                )
-                records.append(cx.CountRecord(st.n, st.q, m, eps, "cover", cov))
-            part = cx.GridPartition(cfg.hamming_partition, cfg.hamming_partition)
-            m = max(horizons)
-            ham = cx.hamming_cover(
-                sys_n, part, m, max(cfg.eps_list), cfg.hamming_samples, cfg.seed
-            )
-            records.append(
-                cx.CountRecord(st.n, st.q, m, max(cfg.eps_list), "hamming", ham.count)
-            )
+            for m in horizons[st.n]:
+                for kind in ("separated", "cover"):
+                    records.append(cx.CountRecord(st.n, st.q, m, eps, kind, counts[m, eps]))
+        m = max(horizons[st.n])
+        ham = cx.hamming_cover(sys_n, part, m, eps_h, cfg.hamming_samples, cfg.seed)
+        records.append(cx.CountRecord(st.n, st.q, m, eps_h, "hamming", ham.count))
         if cfg.construction == "untwisted":
             wit = cx.witness_untwisted(
                 sys_n, eps=cfg.eps_list[0], max_horizon=cfg.horizon_cap
@@ -377,7 +376,6 @@ def _overrides(args: argparse.Namespace) -> dict:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    os.environ.setdefault("SLOWTORUS_THREADS", "1")
     parser = argparse.ArgumentParser(prog="slowtorus", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -414,7 +412,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "plotdata":
         return cmd_plotdata(args.reports, args.outdir)
 
-    cfg = load_config(getattr(args, "config", None), _overrides(args))
+    try:
+        cfg = load_config(getattr(args, "config", None), _overrides(args))
+    except ConfigError as exc:
+        print(f"validation failure: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     if args.command == "params":
         return cmd_params(cfg)
     if args.command == "run":

@@ -17,13 +17,13 @@ the minimal cover of the grid.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from . import diffeo
 from .diffeo import AbCSystem, Array, MapNode, as_points, mod1, orbit_batch, torus_dist
 from .scaling import ScalingFamily, eval_log
 
@@ -32,6 +32,12 @@ _TIME_CHUNK = 64
 
 class GridError(ValueError):
     pass
+
+
+def check_grid(grid: int, eps: float) -> None:
+    """Grid midpoints resolve Bowen radius eps only if eps > 2/grid."""
+    if eps <= 2.0 / grid:
+        raise GridError(f"grid {grid} too coarse for eps={eps}: need eps > 2/grid")
 
 
 # ---------------------------------------------------------------------------
@@ -49,10 +55,8 @@ class BowenConfig:
     def __post_init__(self):
         if self.n_time < 1:
             raise ValueError("n_time must be >= 1")
-        if self.points is None and self.eps <= 2.0 / self.grid:
-            raise GridError(
-                f"grid {self.grid} too coarse for eps={self.eps}: need eps > 2/grid"
-            )
+        if self.points is None:
+            check_grid(self.grid, self.eps)
 
     def candidates(self) -> Array:
         if self.points is not None:
@@ -126,29 +130,9 @@ def bowen_dist(sys: AbCSystem, x, y, n_time: int) -> float:
     return float(np.max(torus_dist(orb[:, 0, :], orb[:, 1, :])))
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("SLOWTORUS_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def orbit_array(sys: AbCSystem, candidates: Array, times: Sequence[int]) -> Array:
-    """(T, N, 2) orbit positions of all candidates.
-
-    Candidates are independent, so the work splits over SLOWTORUS_THREADS
-    workers; chunks are reassembled in candidate order, keeping the result
-    identical for any thread count.
-    """
-    workers = _worker_count()
-    n = len(candidates)
-    if workers <= 1 or n < 4 * workers:
-        return orbit_batch(sys, candidates, times)
-    bounds = np.linspace(0, n, workers + 1).astype(int)
-    chunks = [candidates[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda c: orbit_batch(sys, c, times), chunks))
-    return np.concatenate(parts, axis=1)
+    """(T, N, 2) orbit positions of all candidates."""
+    return orbit_batch(sys, candidates, times)
 
 
 def _dist_to_center(orbits: Array, c: int, idxs: Array, eps: float) -> Array:
@@ -204,9 +188,23 @@ def max_separated(sys: AbCSystem, cfg: BowenConfig) -> SeparatedResult:
 
 def min_cover(sys: AbCSystem, cfg: BowenConfig) -> int:
     """Greedy Bowen cover of the candidate grid (upper bound for N)."""
-    cands = cfg.candidates()
-    orbits = orbit_array(sys, cands, cfg.times())
-    return len(greedy_centers(orbits, cfg.eps))
+    return max_separated(sys, cfg).count
+
+
+def bowen_counts(
+    sys: AbCSystem, grid: int, horizons: Sequence[int], eps_list: Sequence[float]
+) -> dict[tuple[int, float], int]:
+    """Greedy counts of the grid candidates at every (horizon, eps), keyed so.
+
+    The orbits are built once, at the largest horizon; the count at horizon m
+    runs on their first m times, which are the orbits a horizon-m
+    computation builds.  Each count is both the separated and the cover count
+    (see greedy_centers).
+    """
+    for eps in eps_list:
+        check_grid(grid, eps)
+    orbits = orbit_array(sys, grid_candidates(grid), range(max(horizons)))
+    return {(m, eps): len(greedy_centers(orbits[:m], eps)) for eps in eps_list for m in horizons}
 
 
 def pairwise_bowen(orbits: Array) -> Array:
@@ -280,9 +278,7 @@ def witness_untwisted(
         base = base[:max_points]
         partial = True
     fracs = sys.rotation_fracs(range(horizon))
-    from .diffeo import orbit_images
-
-    orbs = orbit_images(sys.H, base, fracs)
+    orbs = diffeo.orbit_images(sys.H, base, fracs)
     dmat = pairwise_bowen(orbs)
     n = base.shape[0]
     iu = np.triu_indices(n, k=1)
@@ -312,22 +308,18 @@ def witness_untwisted(
 
 def code_orbit(sys: AbCSystem, part: Partition, x, n_time: int) -> Array:
     """Cell labels along the orbit of x."""
-    orb = orbit_batch(sys, as_points(x), range(n_time))
-    return part.labels(orb[:, 0, :])
+    return code_orbits(sys, part, x, n_time)[0]
 
 
 def code_orbits(sys: AbCSystem, part: Partition, pts: Array, n_time: int) -> Array:
-    """(n_samples, n_time) label words for many starting points."""
-    pts = as_points(pts)
+    """(n_samples, n_time) label words for many starting points, in the
+    smallest unsigned dtype that holds every label.  Each time slice is
+    labelled as it is computed; the float orbit is never held."""
+    u = sys.H.inverse(as_points(pts))
+    dtype = np.min_scalar_type(part.n_cells - 1)
     fracs = sys.rotation_fracs(range(n_time))
-    u = sys.H.inverse(pts)
-    out = np.empty((pts.shape[0], n_time), dtype=np.int64)
-    cur = np.empty_like(u)
-    for i, fr in enumerate(fracs):
-        cur[:, 0] = mod1(u[:, 0] + fr)
-        cur[:, 1] = u[:, 1]
-        out[:, i] = part.labels(sys.H.forward(cur))
-    return out
+    words = diffeo.orbit_images(sys.H, u, fracs, label=lambda p: part.labels(p).astype(dtype))
+    return np.ascontiguousarray(words.T)
 
 
 @dataclass(frozen=True)
@@ -353,28 +345,39 @@ def hamming_cover(
         raise ValueError("sample_size must be >= 100/eps")
     rng = np.random.Generator(np.random.Philox(seed))
     pts = rng.random((sample_size, 2))
-    words = code_orbits(sys, part, pts, n_time)
-    covered = np.zeros(sample_size, dtype=bool)
-    need = (1.0 - eps) * sample_size
-    count = 0
-    for c in range(sample_size):
-        if covered.sum() >= need:
-            break
-        if covered[c]:
-            continue
-        d = np.mean(words != words[c], axis=1)
-        covered |= d < eps
-        count += 1
+    count, covered = hamming_greedy(code_orbits(sys, part, pts, n_time), eps)
     return HammingCoverResult(
         count=count,
-        covered_fraction=float(covered.mean()),
+        covered_fraction=covered / sample_size,
         sample_size=sample_size,
         seed=seed,
     )
 
 
-def hamming_word_dist(w1: Array, w2: Array) -> float:
-    return float(np.mean(np.asarray(w1) != np.asarray(w2)))
+def hamming_greedy(words: Array, eps: float) -> tuple[int, int]:
+    """Greedy cover of the rows of an (n, T) word array: open a ball at the
+    first uncovered word, cover every word with fewer than eps*T mismatches,
+    stop once at least (1 - eps)*n words are covered.  Radius and stop rule
+    are compared exactly, with eps read as the rational value of the float.
+    Returns (balls, covered words)."""
+    n, T = words.shape
+    eps = Fraction(eps)
+    radius = eps * T
+    need = (1 - eps) * n
+    covered = np.zeros(n, dtype=bool)
+    n_cov = balls = 0
+    for c in range(n):
+        if n_cov >= need:
+            break
+        if covered[c]:
+            continue
+        unc = np.flatnonzero(~covered)
+        mism = np.count_nonzero(words[unc] != words[c], axis=1)
+        new = unc[mism * radius.denominator < radius.numerator]
+        covered[new] = True
+        n_cov += len(new)
+        balls += 1
+    return balls, n_cov
 
 
 # ---------------------------------------------------------------------------

@@ -613,11 +613,15 @@ class HorizontalStepShear(MapNode):
         return per * math.ceil(self.a * self.eps / per)
 
     def chi(self, y: Array) -> Array:
-        y = mod1(np.asarray(y, dtype=float))
-        z = y * self.a
-        centers = np.arange(self.j0 + 1, self.a - self.j0 + 1, dtype=float)
-        signs = np.ones_like(centers)
-        count = _staircase_profile(z, centers, signs, self.eps)
+        """The staircase of unit ramps centered at the integers j0+1 ... a-j0,
+        in closed form: no a-long array of centers is built."""
+        z = mod1(np.asarray(y, dtype=float)) * self.a
+        n = self.a - 2 * self.j0
+        # completed ramps: centers <= z - eps; the next center may be active
+        done = np.clip(np.floor(z - self.eps) - self.j0, 0, n)
+        c = self.j0 + 1 + np.minimum(done, n - 1)
+        active = (np.abs(z - c) < self.eps) & (done < n)
+        count = np.where(active, done + ramp((z - c) / self.eps), done)
         return (self.b / self.a) * count
 
     def forward(self, pts: Array) -> Array:
@@ -795,11 +799,6 @@ class Composite(MapNode):
         return "\n".join(lines)
 
 
-_NODE_KINDS = {}
-for _cls in (Rotation, QuasiRotTiled, UntwistedH, VerticalStepShear, HorizontalStepShear, WordDrivenPhi, Composite):
-    _NODE_KINDS[_cls.kind] = _cls
-
-
 def node_from_dict(d: dict) -> MapNode:
     kind = d.get("kind")
     if kind == "rotation":
@@ -930,41 +929,32 @@ def orbit(sys: AbCSystem, x, L: int, stride: int = 1) -> Array:
     evaluation per sample, rotation advanced in exact rational arithmetic."""
     if L < 1:
         raise ValueError("L must be >= 1")
-    p0 = as_points(x)
-    u = sys.H.inverse(p0)[0]
-    times = range(0, L, stride)
-    fracs = sys.rotation_fracs(times)
-    pts = np.empty((len(fracs), 2), dtype=float)
-    pts[:, 0] = mod1(u[0] + fracs)
-    pts[:, 1] = u[1]
-    return sys.H.forward(pts)
+    return orbit_batch(sys, as_points(x), range(0, L, stride))[:, 0, :]
 
 
 def orbit_batch(sys: AbCSystem, seeds: Array, times: Sequence[int]) -> Array:
     """Orbit positions for many seeds: returns (len(times), n_seeds, 2)."""
     seeds = as_points(seeds)
-    u = sys.H.inverse(seeds)
-    fracs = sys.rotation_fracs(times)
-    out = np.empty((len(fracs), seeds.shape[0], 2), dtype=float)
-    cur = np.empty_like(u)
-    for i, fr in enumerate(fracs):
-        cur[:, 0] = mod1(u[:, 0] + fr)
-        cur[:, 1] = u[:, 1]
-        out[i] = sys.H.forward(cur)
-    return out
+    return orbit_images(sys.H, sys.H.inverse(seeds), sys.rotation_fracs(times))
 
 
-def orbit_images(H: MapNode, base: Array, fracs: Array) -> Array:
+def orbit_images(H: MapNode, base: Array, fracs: Array, label: Optional[Callable] = None) -> Array:
     """H(base + (frac, 0)) for each frac: orbit of H(base) under H R^t H^{-1}
     without the inverse pull-back (useful when base points are given in
-    pre-conjugation coordinates)."""
+    pre-conjugation coordinates), as (len(fracs), n, 2).
+
+    With ``label``, a per-point map from (m, 2) points to m values, each
+    time slice is stored as ``label(slice)`` as soon as it is computed, so
+    the float orbit is never held.
+    """
     base = as_points(base)
-    out = np.empty((len(fracs), base.shape[0], 2), dtype=float)
-    cur = np.empty_like(base)
+    # the per-point shape and dtype of a stored slice, read off one point
+    probe = base[:1] if label is None else label(base[:1])
+    out = np.empty((len(fracs), base.shape[0]) + probe.shape[1:], dtype=probe.dtype)
+    cur = np.array(base, copy=True)
     for i, fr in enumerate(fracs):
         cur[:, 0] = mod1(base[:, 0] + fr)
-        cur[:, 1] = base[:, 1]
-        out[i] = H.forward(cur)
+        out[i] = H.forward(cur) if label is None else label(H.forward(cur))
     return out
 
 

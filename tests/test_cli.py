@@ -214,5 +214,60 @@ def test_describe_prints_stack(tmp_path, capsys):
 def test_unknown_config_field_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"bogus": 1}))
-    with pytest.raises(SystemExit, match="bogus"):
+    with pytest.raises(cli.ConfigError, match="bogus"):
         cli.load_config(str(path), {})
+
+
+def test_unknown_config_field_exit_code(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"bogus": 1}))
+    assert cli.main(["params", "--config", str(path)]) == cli.EXIT_VALIDATION
+    assert "bogus" in capsys.readouterr().err
+
+
+def test_params_chain_error_exit(tmp_path, capsys):
+    # the three-step custom schedule has no stage 4 or 5
+    cfg_path, _ = write_config(tmp_path)
+    rc = cli.main(["params", "--config", str(cfg_path), "--n-max", "5"])
+    assert rc == cli.EXIT_CONSTRUCTION
+    assert capsys.readouterr().err.startswith("construction error: ")
+
+
+def test_run_coarse_grid_exits_before_building(tmp_path, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("systems built for an invalid config")
+
+    monkeypatch.setattr(cli, "build_systems", no_build)
+    cfg_path, _ = write_config(tmp_path, grid=16, eps_list=[0.125])
+    assert cli.main(["run", "--config", str(cfg_path)]) == cli.EXIT_VALIDATION
+
+
+def test_run_budget_estimate_two_stages(tmp_path, capsys):
+    # per stage (grid^2 + hamming samples) * largest horizon: stage 2 has
+    # horizons 1, 8, 64 (capped), stage 3 has horizons 1, 64 (capped), 512
+    cfg_path, _ = write_config(
+        tmp_path, n_max=3, horizon_cap=64, hamming_samples=2000, max_orbit_evals=1e6
+    )
+    cfg = cli.load_config(str(cfg_path), {})
+    assert cli._budget_estimate(cfg, [64, 512]) == (20 * 20 + 2000) * (64 + 512)
+    assert cli.main(["run", "--config", str(cfg_path)]) == cli.EXIT_BUDGET
+    assert "estimated 1.38e+06 orbit evaluations" in capsys.readouterr().err
+
+
+def test_run_two_eps_counts_match_greedy(tmp_path):
+    from slowtorus import complexity as cx
+    from slowtorus.experiments import build_systems
+
+    cfg_path, outdir = write_config(tmp_path, eps_list=[0.125, 0.25], horizon_cap=16)
+    assert cli.main(["run", "--config", str(cfg_path)]) == 0
+    text = (outdir / "raw_counts.csv").read_text()
+    lines = [ln.split(",") for ln in text.splitlines() if not ln.startswith("#")][1:]
+    cfg = cli.load_config(str(cfg_path), {})
+    sys2 = build_systems(cfg.construction, cfg.profile(), cfg.n_max, seed=cfg.seed).system(2)
+    rows = {(int(h), float(e), kind): int(c) for _st, _q, h, e, kind, c in lines}
+    assert [kind for *_, kind, _c in lines].count("hamming") == 1
+    for m in (1, 8, 16):
+        for eps in (0.125, 0.25):
+            bc = cx.BowenConfig(n_time=m, eps=eps, grid=20)
+            assert rows[m, eps, "separated"] == cx.max_separated(sys2, bc).count
+            assert rows[m, eps, "cover"] == cx.min_cover(sys2, bc)

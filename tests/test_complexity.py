@@ -191,6 +191,21 @@ def test_hamming_rotation_cyclic_words():
     assert res.count <= 4
 
 
+def test_hamming_greedy_exact_radius():
+    # one mismatch in T=10 is exactly eps*T for eps=0.1: inside the open
+    # ball, since the float 0.1 is slightly above 1/10 (a float mean of the
+    # mismatches rounds to 0.1 and would leave the word out)
+    words = np.zeros((2, 10), dtype=np.uint8)
+    words[1, 3] = 1
+    assert cx.hamming_greedy(words, 0.1) == (1, 2)
+    assert cx.hamming_greedy(words, 0.05) == (2, 2)
+    # the greedy stops once (1 - eps)*n words are covered: an outlier among
+    # ten words is left out
+    words = np.zeros((10, 10), dtype=np.uint8)
+    words[7] = 1
+    assert cx.hamming_greedy(words, 0.1) == (1, 9)
+
+
 def test_hamming_sample_size_floor():
     with pytest.raises(ValueError):
         cx.hamming_cover(IDENT_SYS, cx.GridPartition(2, 2), 5, 0.1, 50, seed=0)

@@ -279,6 +279,21 @@ def test_horizontal_shear_commutes_with_rotation():
     assert tdist(lhs, rhs) <= 1e-12
 
 
+@pytest.mark.parametrize("a, b, eps", [(40, 5, 0.1), (5120, 5, 0.125), (720896, 11, 0.125)])
+def test_horizontal_shear_chi_matches_staircase(a, b, eps):
+    # the closed form equals the generic staircase over the explicit centers
+    # j0+1 ... a-j0, on random heights and on both sides of every ramp edge
+    g = df.HorizontalStepShear(a=a, b=b, eps=eps)
+    centers = np.arange(g.j0 + 1, a - g.j0 + 1, dtype=float)
+    k = np.arange(a + 1)
+    edges = np.concatenate([(k + d) / a for d in (-eps, 0.0, eps)])
+    rng = np.random.Generator(np.random.Philox(15))
+    for y in (rng.random(100_000), edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)):
+        z = df.mod1(y) * a
+        want = (b / a) * df._staircase_profile(z, centers, np.ones_like(centers), eps)
+        assert np.array_equal(g.chi(y), want)
+
+
 # -- word-driven stage map --------------------------------------------------
 
 

@@ -114,13 +114,3 @@ def test_identity_stages_below_twist_floor():
     expect = pts.copy()
     expect[:, 0] = (expect[:, 0] + shift) % 1.0
     assert tdist(orb[1], expect) <= 1e-12
-
-
-def test_threaded_orbit_array_matches_serial(untwisted_sys2, monkeypatch):
-    rng = np.random.Generator(np.random.Philox(26))
-    pts = rng.random((64, 2))
-    times = range(32)
-    serial = cx.orbit_array(untwisted_sys2, pts, times)
-    monkeypatch.setenv("SLOWTORUS_THREADS", "4")
-    threaded = cx.orbit_array(untwisted_sys2, pts, times)
-    assert np.array_equal(serial, threaded)
