@@ -194,13 +194,10 @@ def min_cover(sys: AbCSystem, cfg: BowenConfig) -> int:
 def bowen_counts(
     sys: AbCSystem, grid: int, horizons: Sequence[int], eps_list: Sequence[float]
 ) -> dict[tuple[int, float], int]:
-    """Greedy counts of the grid candidates at every (horizon, eps), keyed so.
-
-    The orbits are built once, at the largest horizon; the count at horizon m
-    runs on their first m times, which are the orbits a horizon-m
-    computation builds.  Each count is both the separated and the cover count
-    (see greedy_centers).
-    """
+    """Greedy counts of the grid candidates keyed by (horizon, eps).  The
+    orbits are built once, at the largest horizon, and the count at horizon m
+    runs on their first m times; each count is both the separated and the
+    cover count (see greedy_centers)."""
     for eps in eps_list:
         check_grid(grid, eps)
     orbits = orbit_array(sys, grid_candidates(grid), range(max(horizons)))
@@ -313,12 +310,11 @@ def code_orbit(sys: AbCSystem, part: Partition, x, n_time: int) -> Array:
 
 def code_orbits(sys: AbCSystem, part: Partition, pts: Array, n_time: int) -> Array:
     """(n_samples, n_time) label words for many starting points, in the
-    smallest unsigned dtype that holds every label.  Each time slice is
-    labelled as it is computed; the float orbit is never held."""
+    smallest unsigned dtype for the labels; the float orbit is never held."""
     u = sys.H.inverse(as_points(pts))
     dtype = np.min_scalar_type(part.n_cells - 1)
     fracs = sys.rotation_fracs(range(n_time))
-    words = diffeo.orbit_images(sys.H, u, fracs, label=lambda p: part.labels(p).astype(dtype))
+    words = diffeo.orbit_images(sys.H, u, fracs, label=part.labels, dtype=dtype)
     return np.ascontiguousarray(words.T)
 
 
@@ -357,12 +353,13 @@ def hamming_cover(
 def hamming_greedy(words: Array, eps: float) -> tuple[int, int]:
     """Greedy cover of the rows of an (n, T) word array: open a ball at the
     first uncovered word, cover every word with fewer than eps*T mismatches,
-    stop once at least (1 - eps)*n words are covered.  Radius and stop rule
-    are compared exactly, with eps read as the rational value of the float.
+    stop once at least (1 - eps)*n words are covered.  Both rules are exact:
+    eps is read as the rational value of the float, and the integer mismatch
+    counts are held against the Python int ceil(eps*T), which cannot overflow.
     Returns (balls, covered words)."""
     n, T = words.shape
     eps = Fraction(eps)
-    radius = eps * T
+    radius = math.ceil(eps * T)
     need = (1 - eps) * n
     covered = np.zeros(n, dtype=bool)
     n_cov = balls = 0
@@ -373,7 +370,7 @@ def hamming_greedy(words: Array, eps: float) -> tuple[int, int]:
             continue
         unc = np.flatnonzero(~covered)
         mism = np.count_nonzero(words[unc] != words[c], axis=1)
-        new = unc[mism * radius.denominator < radius.numerator]
+        new = unc[mism < radius]
         covered[new] = True
         n_cov += len(new)
         balls += 1

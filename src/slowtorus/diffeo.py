@@ -29,6 +29,8 @@ from .params import StageParams
 
 Array = np.ndarray
 
+ORBIT_CHUNK_POINTS = 4096
+
 
 class ConstructionError(ValueError):
     """A primitive cannot be built; the message names the violated constraint."""
@@ -938,23 +940,28 @@ def orbit_batch(sys: AbCSystem, seeds: Array, times: Sequence[int]) -> Array:
     return orbit_images(sys.H, sys.H.inverse(seeds), sys.rotation_fracs(times))
 
 
-def orbit_images(H: MapNode, base: Array, fracs: Array, label: Optional[Callable] = None) -> Array:
+def orbit_images(
+    H: MapNode, base: Array, fracs: Array, label: Optional[Callable] = None, dtype=float
+) -> Array:
     """H(base + (frac, 0)) for each frac: orbit of H(base) under H R^t H^{-1}
     without the inverse pull-back (useful when base points are given in
     pre-conjugation coordinates), as (len(fracs), n, 2).
 
-    With ``label``, a per-point map from (m, 2) points to m values, each
-    time slice is stored as ``label(slice)`` as soon as it is computed, so
-    the float orbit is never held.
+    Each H.forward call takes whole time slices, about ORBIT_CHUNK_POINTS
+    points.  With ``label``, a per-point map from (m, 2) points to m values,
+    each chunk is labelled at once into a (len(fracs), n) array of ``dtype``,
+    so the float orbit is never held.
     """
     base = as_points(base)
-    # the per-point shape and dtype of a stored slice, read off one point
-    probe = base[:1] if label is None else label(base[:1])
-    out = np.empty((len(fracs), base.shape[0]) + probe.shape[1:], dtype=probe.dtype)
-    cur = np.array(base, copy=True)
-    for i, fr in enumerate(fracs):
-        cur[:, 0] = mod1(base[:, 0] + fr)
-        out[i] = H.forward(cur) if label is None else label(H.forward(cur))
+    n = base.shape[0]
+    out = np.empty((len(fracs), n) + ((2,) if label is None else ()), dtype=dtype)
+    step = max(1, ORBIT_CHUNK_POINTS // max(n, 1))
+    for i in range(0, len(fracs), step):
+        fr = fracs[i : i + step]
+        pts = np.repeat(base[None], len(fr), axis=0)
+        pts[..., 0] = mod1(base[:, 0] + fr[:, None])
+        img = H.forward(pts.reshape(-1, 2))
+        out[i : i + len(fr)] = (img if label is None else label(img)).reshape(len(fr), *out.shape[1:])
     return out
 
 

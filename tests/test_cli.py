@@ -244,14 +244,13 @@ def test_run_coarse_grid_exits_before_building(tmp_path, monkeypatch):
 
 def test_run_budget_estimate_two_stages(tmp_path, capsys):
     # per stage (grid^2 + hamming samples) * largest horizon: stage 2 has
-    # horizons 1, 8, 64 (capped), stage 3 has horizons 1, 64 (capped), 512
+    # horizons 1, 8, 512 (q_next capped), stage 3 has horizons 1, 512, so
+    # (400 + 2000) * (512 + 512) = 2457600
     cfg_path, _ = write_config(
-        tmp_path, n_max=3, horizon_cap=64, hamming_samples=2000, max_orbit_evals=1e6
+        tmp_path, n_max=3, horizon_cap=512, hamming_samples=2000, max_orbit_evals=1e6
     )
-    cfg = cli.load_config(str(cfg_path), {})
-    assert cli._budget_estimate(cfg, [64, 512]) == (20 * 20 + 2000) * (64 + 512)
     assert cli.main(["run", "--config", str(cfg_path)]) == cli.EXIT_BUDGET
-    assert "estimated 1.38e+06 orbit evaluations" in capsys.readouterr().err
+    assert "estimated 2.46e+06 orbit evaluations" in capsys.readouterr().err
 
 
 def test_run_two_eps_counts_match_greedy(tmp_path):

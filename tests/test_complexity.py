@@ -204,6 +204,11 @@ def test_hamming_greedy_exact_radius():
     words = np.zeros((10, 10), dtype=np.uint8)
     words[7] = 1
     assert cx.hamming_greedy(words, 0.1) == (1, 9)
+    # Fraction(0.1) has a denominator of 2**55: with T=333 a word that
+    # differs everywhere lies far outside the ball, not wrapped into it
+    words = np.zeros((2, 333), dtype=np.uint8)
+    words[1] = 1
+    assert cx.hamming_greedy(words, 0.1) == (2, 2)
 
 
 def test_hamming_sample_size_floor():

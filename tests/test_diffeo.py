@@ -388,6 +388,16 @@ def test_orbit_matches_naive_composition(untwisted_sys2):
         cur = untwisted_sys2.step(cur)
 
 
+def test_orbit_images_chunking_is_bitwise(untwisted_sys2, monkeypatch):
+    # several time slices per forward call, with a short last chunk, give
+    # the same bits as one slice per call
+    seeds = np.array([[0.23, 0.57], [0.61, 0.08], [0.9, 0.33]])
+    monkeypatch.setattr(df, "ORBIT_CHUNK_POINTS", 7)
+    chunked = df.orbit_batch(untwisted_sys2, seeds, range(31))
+    monkeypatch.setattr(df, "ORBIT_CHUNK_POINTS", 1)
+    assert np.array_equal(chunked, df.orbit_batch(untwisted_sys2, seeds, range(31)))
+
+
 def test_orbit_stride():
     st = stage(q=5, l=1, lp=8)
     sysm = df.AbCSystem(H=df.Rotation(Fraction(0)), alpha_next=Fraction(1, 5), stage=st)
