@@ -103,7 +103,7 @@ def _resolve_horizons(cfg: ExperimentConfig, stage: params.StageParams) -> list[
         if h == "1":
             out.append(1)
         elif h == "q":
-            out.append(stage.q)
+            out.append(min(stage.q, cfg.horizon_cap))
         elif h == "q_next":
             out.append(min(stage.q_next, cfg.horizon_cap))
         elif h == "lq":
@@ -284,7 +284,7 @@ def cmd_words(cfg: ExperimentConfig, s: int, k: int, n_words: int, eps: float) -
         return EXIT_CONSTRUCTION
     outdir = Path(cfg.outdir)
     reporting.write_with_header(outdir / "selection.txt", cfg, sel.to_text())
-    rep = words.verify_selection(sel)
+    rep = sel.report
     body = [
         f"threshold={rep.threshold!r}",
         f"uniform={rep.uniform}",

@@ -7,12 +7,15 @@ random positions, deficits refilled left-to-right in symbol order), then
 verified exhaustively: for every ordered pair and every shift t < (1-eps)*k
 (t >= 1 when a word is compared against itself) the normalized Hamming
 distance over the overlap must reach 1 - 1/s - eps*s.  Verification is
-exhaustive, never probabilistic.
+exhaustive, never probabilistic: one scan over the shifts per sampling round,
+deciding every (pair, shift) on exact integer match counts against the exact
+rational threshold, and returning the failing words for resampling.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -57,6 +60,8 @@ class WordSelection:
     words: Array  # (N, k) uint8/uint16
     seed: int
     verified: bool
+    # the report of the verification that set `verified`, when one ran
+    report: Optional[SelectionReport] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.alphabet_size < 2:
@@ -92,14 +97,7 @@ class WordSelection:
         )
         if verify:
             rep = verify_selection(sel)
-            sel = WordSelection(
-                alphabet_size=s,
-                k=k,
-                eps=float(eps_),
-                words=words,
-                seed=seed,
-                verified=rep.passed,
-            )
+            sel = replace(sel, verified=rep.passed, report=rep)
         return sel
 
 
@@ -110,6 +108,9 @@ class SelectionReport:
     min_pairwise_per_shift: Array  # (n_shifts,) inf where no pair exists
     min_self_sliding: float
     worst_pair: tuple[int, int, int, float]  # (i, j, t, distance)
+    # the later word of every violating (i, j, t), in scan order: t first,
+    # then row-major over (i, j); sample_selection resamples in this order
+    failing: set[int]
 
     @property
     def min_pairwise(self) -> float:
@@ -119,11 +120,7 @@ class SelectionReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.uniform
-            and self.min_pairwise >= self.threshold
-            and self.min_self_sliding >= self.threshold
-        )
+        return self.uniform and not self.failing
 
 
 def _one_hot(words: Array, s: int) -> Array:
@@ -136,24 +133,31 @@ def _one_hot(words: Array, s: int) -> Array:
 
 
 def _match_counts(onehot: Array, t: int) -> Array:
-    """matches[i, j] = #positions where word_i[p] == word_j[p + t]."""
+    """matches[i, j] = #positions where word_i[p] == word_j[p + t].
+
+    The float32 one-hot product is exact: every count is an integer <= k,
+    and k < 2**24, so the result is returned as int64.
+    """
     n, k, s = onehot.shape
     a = onehot[:, : k - t, :].reshape(n, -1)
     b = onehot[:, t:, :].reshape(n, -1)
-    return a @ b.T
+    return (a @ b.T).astype(np.int64)
 
 
-def verify_selection(sel: WordSelection, early_exit: bool = False) -> SelectionReport:
+def verify_selection(sel: WordSelection) -> SelectionReport:
     """Exhaustive check of uniformity and all pair/shift separations.
 
-    The report alone is enough to re-derive the verified flag.  With
-    early_exit the scan stops at the first violated shift (the report then
-    covers the shifts examined so far; min arrays keep inf past the stop).
+    One scan over the shifts.  A (pair, shift) with m matches over an
+    overlap of o positions violates when its distance 1 - m/o is below
+    1 - p/d, where p/d = 1/s + eps*s exactly; in integers, when
+    m > (o*p) // d.  The report's distances are 1 - m/o in float64; its
+    verdict and failing words come from the integer test alone.
     """
     s, k = sel.alphabet_size, sel.k
     words = np.asarray(sel.words)
     n = words.shape[0]
     thr = separation_threshold(s, sel.eps)
+    bound = Fraction(1, s) + Fraction(sel.eps) * s  # exact: thr = 1 - bound
     target = k // s
     uniform = True
     for row in words:
@@ -169,36 +173,45 @@ def verify_selection(sel: WordSelection, early_exit: bool = False) -> SelectionR
     min_pair = np.full(n_shifts, np.inf)
     min_self = math.inf
     worst = (0, 0, 0, math.inf)
+    failing: set[int] = set()
     onehot = _one_hot(words, s)
     off_diag = ~np.eye(n, dtype=bool)
     for t in range(min(n_shifts, k)):
         overlap = k - t
         matches = _match_counts(onehot, t)
-        dist = 1.0 - matches / overlap
+        # the closest pair has the most matches; first maximum, row-major
         if n > 1 and t < t_pair_end:
-            dmin = float(dist[off_diag].min())
+            pair = np.where(off_diag, matches, -1)
+            i, j = divmod(int(np.argmax(pair)), n)
+            dmin = 1.0 - int(pair[i, j]) / overlap
             min_pair[t] = dmin
             if dmin < worst[3]:
-                i, j = divmod(int(np.argmin(np.where(off_diag, dist, np.inf))), n)
                 worst = (i, j, t, dmin)
         if 1 <= t <= t_self_last:
-            dself = float(np.min(np.diag(dist)))
+            own = np.diagonal(matches)
+            i = int(np.argmax(own))
+            dself = 1.0 - int(own[i]) / overlap
             if dself < min_self:
                 min_self = dself
                 if dself < worst[3]:
-                    i = int(np.argmin(np.diag(dist)))
                     worst = (i, i, t, dself)
-        if early_exit and (
-            (n > 1 and t < t_pair_end and min_pair[t] < thr)
-            or (t >= 1 and min_self < thr)
-        ):
-            break
+        limit = (overlap * bound.numerator) // bound.denominator
+        if matches.max() > limit:
+            viol = matches > limit
+            if t == 0 or t > t_self_last:
+                np.fill_diagonal(viol, False)  # self comparison out of range
+            if t >= t_pair_end:
+                viol &= ~off_diag  # pairwise comparison out of range
+            # resample the later word of each offending pair
+            for i, j in zip(*np.nonzero(viol)):
+                failing.add(int(max(i, j)))
     return SelectionReport(
         threshold=thr,
         uniform=uniform,
         min_pairwise_per_shift=min_pair,
         min_self_sliding=min_self,
         worst_pair=worst,
+        failing=failing,
     )
 
 
@@ -228,13 +241,6 @@ def _repair_uniform(word: Array, s: int, rng: np.random.Generator) -> Array:
     for pos, sym in zip(vacated, fill):
         out[pos] = sym
     return out
-
-
-# The concentration parameter from the selection argument; recorded for
-# reproducibility of the sampling internals, not used as a rejection gate
-# (desk-scale word lengths sit far below the regime where it binds).
-def sampling_delta(eps: float) -> float:
-    return eps * eps / 5.0
 
 
 def sample_selection(
@@ -271,12 +277,9 @@ def sample_selection(
         )
         report = verify_selection(sel)
         if report.passed:
-            return WordSelection(
-                alphabet_size=s, k=k, eps=eps, words=words, seed=seed, verified=True
-            )
-        bad = _failing_words(sel, report)
+            return replace(sel, verified=True, report=report)
         words = words.copy()
-        words[list(bad)] = fresh(len(bad))
+        words[list(report.failing)] = fresh(len(report.failing))
     raise SelectionError(
         f"retry budget exhausted after {max_rounds} rounds; worst pair "
         f"(i={report.worst_pair[0]}, j={report.worst_pair[1]}, "
@@ -284,30 +287,6 @@ def sample_selection(
         f"< threshold {report.threshold:.4f}",
         report,
     )
-
-
-def _failing_words(sel: WordSelection, report: SelectionReport) -> set[int]:
-    """Indices of words involved in any separation violation."""
-    s, k = sel.alphabet_size, sel.k
-    thr = report.threshold
-    onehot = _one_hot(np.asarray(sel.words), s)
-    n = sel.words.shape[0]
-    bad: set[int] = set()
-    t_pair_end = math.ceil((1.0 - sel.eps) * k)
-    t_self_last = math.floor((1.0 - sel.eps) * k)
-    for t in range(min(k, max(t_pair_end, t_self_last + 1))):
-        overlap = k - t
-        dist = 1.0 - _match_counts(onehot, t) / overlap
-        viol = dist < thr
-        if t == 0 or t > t_self_last:
-            np.fill_diagonal(viol, False)  # self comparison out of range
-        if t >= t_pair_end:
-            viol &= np.eye(n, dtype=bool)  # pairwise comparison out of range
-        ii, jj = np.nonzero(viol)
-        # resample the later word of each offending pair
-        for i, j in zip(ii, jj):
-            bad.add(int(max(i, j)))
-    return bad or {0}
 
 
 def assemble_W(theta: WordSelection, q: int) -> np.ndarray:

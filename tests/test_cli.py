@@ -270,3 +270,19 @@ def test_run_two_eps_counts_match_greedy(tmp_path):
             bc = cx.BowenConfig(n_time=m, eps=eps, grid=20)
             assert rows[m, eps, "separated"] == cx.max_separated(sys2, bc).count
             assert rows[m, eps, "cover"] == cx.min_cover(sys2, bc)
+
+
+def test_run_caps_q_horizon(tmp_path):
+    # on the README schedule stage 3 has q = 4096, far above the cap
+    cfg_path, outdir = write_config(
+        tmp_path,
+        kl_schedule=[[1, 2, 4], [1, 64, 8], [1, 1, 64]],
+        n_max=3,
+        horizon_cap=256,
+        hamming_samples=800,
+    )
+    assert cli.main(["run", "--config", str(cfg_path)]) == 0
+    text = (outdir / "raw_counts.csv").read_text()
+    lines = [ln.split(",") for ln in text.splitlines() if not ln.startswith("#")][1:]
+    assert {int(st) for st, *_ in lines} == {2, 3}
+    assert max(int(h) for _st, _q, h, *_ in lines) == 256

@@ -417,6 +417,14 @@ def test_orbit_stride():
         df.UntwistedH(q=8, eps=0.125),
         df.VerticalStepShear(q=8, eps=0.125, i1=2, s1=1),
         df.HorizontalStepShear(a=5120, b=5, eps=0.125),
+        wm_stage_node()[0],
+        df.Composite(
+            nodes=(
+                df.HorizontalStepShear(a=40, b=5, eps=0.1),
+                df.VerticalStepShear(q=8, eps=0.125, i1=2, s1=1),
+                df.UntwistedH(q=8, eps=0.125),
+            )
+        ),
     ],
     ids=lambda n: n.kind,
 )
@@ -425,6 +433,7 @@ def test_inverse_roundtrip_all_kinds(node):
     pts = rng.random((10000, 2))
     back = node.inverse(node.forward(pts))
     assert tdist(back, pts) <= 1e-10
+    assert df.node_from_dict(node.to_dict()) == node
 
 
 def test_composite_roundtrip(untwisted_sys3):

@@ -1,8 +1,10 @@
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from slowtorus.words import (
@@ -71,9 +73,66 @@ def test_verify_flags_periodic_word():
     assert not rep.passed
 
 
+def test_verify_borderline_distance_passes():
+    # shift 3 leaves 3 matches over an overlap of 5: distance 2/5, exactly
+    # the threshold 1 - 1/2 - 0.05*2 (a float32 distance falls just below it)
+    w = np.array([[1, 1, 1, 0, 0, 1, 0, 0]])
+    sel = WordSelection(alphabet_size=2, k=8, eps=0.05, words=w, seed=0, verified=False)
+    rep = verify_selection(sel)
+    assert rep.passed
+    assert rep.min_self_sliding == 0.4
+
+
+def reference_failing(words, s, eps):
+    """Later word of every violating (i, j, t), from integer match counts
+    and Fraction distances, over the shift ranges of verify_selection."""
+    n, k = words.shape
+    thr = 1 - Fraction(1, s) - Fraction(eps) * s
+    t_pair_end = math.ceil((1.0 - eps) * k)
+    t_self_last = math.floor((1.0 - eps) * k)
+    bad = set()
+    for i, j, t in itertools.product(range(n), range(n), range(k)):
+        if not (1 <= t <= t_self_last if i == j else t < t_pair_end):
+            continue
+        matches = sum(int(a == b) for a, b in zip(words[i, : k - t], words[j, t:]))
+        if Fraction(k - t - matches, k - t) < thr:
+            bad.add(max(i, j))
+    return bad
+
+
+@hst.composite
+def small_selections(draw):
+    """(s, eps, words): up to 4 exactly uniform words of length k <= 24."""
+    s = draw(hst.integers(min_value=2, max_value=4))
+    k = s * draw(hst.integers(min_value=1, max_value=24 // s))
+    n = draw(hst.integers(min_value=1, max_value=4))
+    eps = draw(hst.sampled_from([0.02, 0.05, 1 / 16, 0.1]))
+    balanced = [sym for sym in range(s) for _ in range(k // s)]
+    return s, eps, [draw(hst.permutations(balanced)) for _ in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=small_selections())
+# passes at distance exactly 2/5 = 1 - 1/2 - 0.05*2, which float32 puts below
+@example(case=(2, 0.05, [[0, 0, 0, 1, 1, 0, 1, 1]]))
+def test_verify_matches_exact_reference(case):
+    s, eps, rows = case
+    words = np.array(rows, dtype=np.uint8)
+    k = words.shape[1]
+    sel = WordSelection(alphabet_size=s, k=k, eps=eps, words=words, seed=0, verified=False)
+    rep = verify_selection(sel)
+    want = reference_failing(words, s, eps)
+    assert rep.failing == want
+    assert rep.passed == (not want)
+
+
 def test_verification_is_idempotent():
     sel = sample_selection(s=4, k=64, n_words=8, eps=0.25, seed=7)
-    assert verify_selection(sel).passed == sel.verified == True  # noqa: E712
+    rep = verify_selection(sel)
+    assert rep.passed == sel.verified == True  # noqa: E712
+    # the selection carries the report of the round that passed
+    assert sel.report.min_pairwise == rep.min_pairwise
+    assert sel.report.min_self_sliding == rep.min_self_sliding
 
 
 def test_assemble_example():
