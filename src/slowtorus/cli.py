@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from . import complexity as cx
 from . import diffeo, normest, params, reporting, scaling, words
-from .experiments import build_systems
+from .experiments import BuiltChain, build_systems
 from .params import CustomStep, ParamProfile
 
 EXIT_OK = 0
@@ -137,6 +137,24 @@ def cmd_params(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+def _build_or_report(cfg: ExperimentConfig) -> Optional[BuiltChain]:
+    """The configured chain and stage maps, or None after printing the
+    construction error."""
+    try:
+        return build_systems(
+            cfg.construction,
+            cfg.profile(),
+            cfg.n_max,
+            seed=cfg.seed,
+            word_eps=cfg.word_eps,
+            sigma=cfg.sigma,
+            cap_tiles=cfg.cap_tiles,
+        )
+    except (diffeo.ConstructionError, words.SelectionError, ValueError) as exc:
+        print(f"construction error: {exc}", file=sys.stderr)
+        return None
+
+
 def _budget_estimate(cfg: ExperimentConfig, max_horizons: Sequence[int]) -> float:
     """Orbit evaluations of a run: per measured stage, the grid and the
     Hamming samples, each followed to the stage's largest horizon."""
@@ -150,22 +168,10 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> int:
     except cx.GridError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    profile = cfg.profile()
-    outdir = Path(cfg.outdir)
-    try:
-        built = build_systems(
-            cfg.construction,
-            profile,
-            cfg.n_max,
-            seed=cfg.seed,
-            word_eps=cfg.word_eps,
-            sigma=cfg.sigma,
-            cap_tiles=cfg.cap_tiles,
-        )
-    except (diffeo.ConstructionError, words.SelectionError, ValueError) as exc:
-        print(f"construction error: {exc}", file=sys.stderr)
+    built = _build_or_report(cfg)
+    if built is None:
         return EXIT_CONSTRUCTION
-
+    outdir = Path(cfg.outdir)
     measured = [st for st in built.chain if cfg.n_min <= st.n <= cfg.n_max]
     horizons = {st.n: _resolve_horizons(cfg, st) for st in measured}
     est = _budget_estimate(cfg, [max(h) for h in horizons.values()])
@@ -279,6 +285,9 @@ def cmd_plotdata(report_files: Sequence[str], outdir: str) -> int:
 def cmd_words(cfg: ExperimentConfig, s: int, k: int, n_words: int, eps: float) -> int:
     try:
         sel = words.sample_selection(s=s, k=k, n_words=n_words, eps=eps, seed=cfg.seed)
+    except ValueError as exc:  # rejected arguments, raised before any sampling
+        print(f"validation failure: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     except words.SelectionError as exc:
         print(f"selection failed: {exc}", file=sys.stderr)
         return EXIT_CONSTRUCTION
@@ -337,18 +346,8 @@ def cmd_norms(cfg: ExperimentConfig, node_kind: str, q: int, eps: float, k_max: 
 
 
 def cmd_describe(cfg: ExperimentConfig) -> int:
-    try:
-        built = build_systems(
-            cfg.construction,
-            cfg.profile(),
-            cfg.n_max,
-            seed=cfg.seed,
-            word_eps=cfg.word_eps,
-            sigma=cfg.sigma,
-            cap_tiles=cfg.cap_tiles,
-        )
-    except (diffeo.ConstructionError, words.SelectionError, ValueError) as exc:
-        print(f"construction error: {exc}", file=sys.stderr)
+    built = _build_or_report(cfg)
+    if built is None:
         return EXIT_CONSTRUCTION
     for st in built.chain:
         if cfg.n_min <= st.n <= cfg.n_max:
@@ -392,7 +391,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p_words = sub.add_parser("words", help="sample and verify a word selection")
     _add_common(p_words)
-    p_words.add_argument("--alphabet", type=int, default=4)
+    p_words.add_argument("--alphabet", type=int, default=4, help="symbols, 2 to 36")
     p_words.add_argument("--length", type=int, default=2000)
     p_words.add_argument("--count", type=int, default=40)
     p_words.add_argument("--eps", type=float, default=1.0 / 16.0)
@@ -402,7 +401,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_norms.add_argument("--node", default="quasi_rot")
     p_norms.add_argument("--q", type=int, default=4)
     p_norms.add_argument("--eps", type=float, default=0.1)
-    p_norms.add_argument("--k-max", type=int, default=1, dest="k_max")
+    p_norms.add_argument("--k-max", type=int, default=1, choices=(0, 1, 2), dest="k_max")
 
     p_desc = sub.add_parser("describe", help="print the built map stack")
     _add_common(p_desc)

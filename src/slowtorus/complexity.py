@@ -85,10 +85,6 @@ class GridPartition:
     def n_cells(self) -> int:
         return self.nx * self.ny
 
-    @property
-    def cell_diameter(self) -> float:
-        return max(1.0 / self.nx, 1.0 / self.ny)
-
     def labels(self, pts: Array) -> Array:
         x = mod1(np.asarray(pts[..., 0], dtype=float))
         y = mod1(np.asarray(pts[..., 1], dtype=float))
@@ -107,10 +103,6 @@ class PushforwardPartition:
     @property
     def n_cells(self) -> int:
         return self.base.n_cells
-
-    @property
-    def cell_diameter(self) -> float:
-        return self.base.cell_diameter  # of the base cells; images may differ
 
     def labels(self, pts: Array) -> Array:
         return self.base.labels(self.node.inverse(np.asarray(pts, dtype=float)))

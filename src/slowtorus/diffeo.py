@@ -17,8 +17,11 @@ advanced in exact rational arithmetic.
 """
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
+import typing
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -26,6 +29,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .params import StageParams
+from .words import word_from_text, word_to_text
 
 Array = np.ndarray
 
@@ -173,17 +177,22 @@ class SquareTwist:
         """Distance to the nearest set where the map is not smooth.
 
         Accounts for the zone circles, the diagonals of the square (where
-        the leaf coordinates kink), and the image's diagonals.
+        the leaf coordinates kink), and the preimages of the diagonals.  A
+        point whose image is d from a diagonal is at least d / lip from that
+        diagonal's preimage, with lip = 7 + 1.875/eps a Lipschitz bound of
+        the map: the shifted arclength s + 2*rho*fade(rho) moves at most
+        5 + 1.875/eps times as fast as the point, and the image point at
+        most 2 more times as fast.
         """
         pts = np.asarray(pts, dtype=float)
         img = self.eval(pts)
         out = np.full(pts.shape[:-1], np.inf)
-        for z in (pts, img):
+        for z, scale in ((pts, 1.0), (img, 1.0 / (7.0 + 1.875 / self.eps))):
             u = z[..., 0] - 0.5
             v = z[..., 1] - 0.5
             rho = np.maximum(np.abs(u), np.abs(v))
             diag = np.abs(np.abs(u) - np.abs(v)) / math.sqrt(2.0)
-            out = np.minimum(out, diag)
+            out = np.minimum(out, diag * scale)
             for radius in (self.r_rotate, self.r_identity):
                 out = np.minimum(out, np.abs(rho - radius))
         return out
@@ -200,10 +209,25 @@ def square_twist_eval(tw: SquareTwist, p, inverse: bool = False) -> Array:
 # map nodes
 
 
+# every node kind, by its `kind` name: a MapNode subclass that sets `kind`
+# joins when it is defined
+NODE_KINDS: dict[str, type] = {}
+
+
 class MapNode:
-    """Immutable torus map with forward/inverse evaluation on point arrays."""
+    """Immutable torus map with forward/inverse evaluation on point arrays.
+
+    A node kind is a frozen dataclass that sets ``kind``.  Its JSON form is
+    the kind plus one entry per dataclass field, written by the codec of the
+    field's type (see ``_FIELD_CODECS``).
+    """
 
     kind: str = "abstract"
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "kind" in cls.__dict__:
+            NODE_KINDS[cls.kind] = cls
 
     def forward(self, pts: Array) -> Array:
         raise NotImplementedError
@@ -214,34 +238,20 @@ class MapNode:
     def apply(self, pts: Array, inverse: bool = False) -> Array:
         return self.inverse(pts) if inverse else self.forward(pts)
 
-    def apply_point(self, p, inverse: bool = False) -> Array:
-        return self.apply(as_points(p), inverse=inverse)[0]
-
     def smoothness_margin(self, pts: Array) -> Array:
         return np.full(np.asarray(pts).shape[:-1], np.inf)
 
-    def params_dict(self) -> dict:
-        raise NotImplementedError
+    def _json_fields(self) -> dict:
+        """Each dataclass field in its JSON form, in field order."""
+        return {name: enc(getattr(self, name)) for name, enc, _ in _field_codecs(type(self))}
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, **self.params_dict()}
+        return {"kind": self.kind, **self._json_fields()}
 
     def describe(self, indent: int = 0) -> str:
         pad = " " * indent
-        items = ", ".join(f"{k}={v}" for k, v in self.params_dict().items())
+        items = ", ".join(f"{k}={v}" for k, v in self._json_fields().items())
         return f"{pad}{self.kind}({items})"
-
-    def __repr__(self) -> str:
-        return self.describe()
-
-
-def _frac_str(fr: Fraction) -> str:
-    return f"{fr.numerator}/{fr.denominator}"
-
-
-def _parse_frac(s: str) -> Fraction:
-    n, d = s.split("/")
-    return Fraction(int(n), int(d))
 
 
 @dataclass(frozen=True)
@@ -260,9 +270,6 @@ class Rotation(MapNode):
         out = np.array(pts, dtype=float, copy=True)
         out[..., 0] = mod1(out[..., 0] - float(self.alpha % 1))
         return out
-
-    def params_dict(self) -> dict:
-        return {"alpha": _frac_str(self.alpha)}
 
 
 def _tile_x(
@@ -326,9 +333,6 @@ class QuasiRotTiled(MapNode):
         # local margins shrink by the cell rescale in the worst direction
         return self.twist.smoothness_margin(loc) / self.q
 
-    def params_dict(self) -> dict:
-        return {"q": self.q, "eps": self.eps}
-
 
 def phi_q_eval(q: int, eps: float, p, inverse: bool = False) -> Array:
     """Evaluate the 1/q-rescaled twist at a point or point array."""
@@ -344,15 +348,11 @@ class UntwistedH(MapNode):
 
     On each cell, a wide block of width 1/q - 1/q^2 and a narrow block of
     width 1/q^2 each carry a twist rescaled to the block, so the cell maps
-    onto itself and the map commutes with R_{1/q}.  With
-    ``literal_big_rescale`` the wide block uses the plain q rescale instead
-    of its own width (for side-by-side comparison only: that variant does
-    not map the block onto itself).
+    onto itself and the map commutes with R_{1/q}.
     """
 
     q: int
     eps: float
-    literal_big_rescale: bool = False
     kind = "untwisted_h"
 
     def __post_init__(self):
@@ -373,12 +373,11 @@ class UntwistedH(MapNode):
         by = np.empty_like(y)
         tw = self.twist
         if np.any(big):
-            scale = q / (q - 1.0) if not self.literal_big_rescale else 1.0
+            scale = q / (q - 1.0)
             # wide block rescaled onto the unit square
-            X = lx[big] * scale if not self.literal_big_rescale else lx[big]
-            loc = np.stack([X, np.broadcast_to(y, lx.shape)[big]], axis=-1)
+            loc = np.stack([lx[big] * scale, np.broadcast_to(y, lx.shape)[big]], axis=-1)
             res = tw.eval(loc, inverse=inverse)
-            bx[big] = res[..., 0] / scale if not self.literal_big_rescale else res[..., 0]
+            bx[big] = res[..., 0] / scale
             by[big] = res[..., 1]
         small = ~big
         if np.any(small):
@@ -418,9 +417,6 @@ class UntwistedH(MapNode):
         out = np.minimum(out, np.abs(lx - w) / q)
         return out
 
-    def params_dict(self) -> dict:
-        return {"q": self.q, "eps": self.eps, "literal_big_rescale": self.literal_big_rescale}
-
     def describe(self, indent: int = 0) -> str:
         pad = " " * indent
         q = self.q
@@ -439,6 +435,8 @@ def _staircase_profile(z: Array, centers: Array, signs: Array, width: float) -> 
     """
     z = np.asarray(z, dtype=float)
     total = np.zeros_like(z)
+    if len(centers) == 0:  # a single plateau (eps > 1/6 in the step shear)
+        return total
     # completed ramps: center <= z - width
     idx = np.searchsorted(centers, z - width, side="right")
     csum = np.concatenate([[0.0], np.cumsum(signs)])
@@ -553,9 +551,6 @@ class VerticalStepShear(MapNode):
             start = end
         return margins / (self.q * self.q)
 
-    def params_dict(self) -> dict:
-        return {"q": self.q, "eps": self.eps, "i1": self.i1, "s1": self.s1}
-
     def describe(self, indent: int = 0) -> str:
         pad = " " * indent
         a = self.plateaus
@@ -642,9 +637,6 @@ class HorizontalStepShear(MapNode):
         near = np.round(z)
         return (np.abs(np.abs(z - near) - self.eps)) / self.a
 
-    def params_dict(self) -> dict:
-        return {"a": self.a, "b": self.b, "eps": self.eps}
-
 
 @dataclass(frozen=True)
 class WordDrivenPhi(MapNode):
@@ -672,8 +664,8 @@ class WordDrivenPhi(MapNode):
         SquareTwist(self.eps)
         if self.cap_tiles < 1:
             raise ConstructionError("cap_tiles must be >= 1")
-        worst = 2 * self.q**3 * self.tiles_for(max(self.word))
-        if 1.0 / worst < 1e-12:
+        worst = 2 * self.q**3 * self.tiles_for(max(self.word))  # 0: all identity
+        if worst > 1e12:
             raise ConstructionError("block width below numeric resolution (< 1e-12)")
 
     def tiles_for(self, symbol: int) -> int:
@@ -743,14 +735,6 @@ class WordDrivenPhi(MapNode):
         seam = np.minimum(inner, 1.0 - inner) / (self.q * nblocks)
         return np.minimum(out, seam)
 
-    def params_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "eps": self.eps,
-            "cap_tiles": self.cap_tiles,
-            "word": "".join(np.base_repr(s, 36).lower() for s in self.word),
-        }
-
     def describe(self, indent: int = 0) -> str:
         pad = " " * indent
         counts = {}
@@ -790,9 +774,6 @@ class Composite(MapNode):
             cur = node.forward(cur)
         return margin
 
-    def params_dict(self) -> dict:
-        return {"nodes": [n.to_dict() for n in self.nodes]}
-
     def describe(self, indent: int = 0) -> str:
         pad = " " * indent
         lines = [f"{pad}composite of {len(self.nodes)} maps (leftmost applied last):"]
@@ -801,32 +782,38 @@ class Composite(MapNode):
         return "\n".join(lines)
 
 
+# (encode, decode) between a node field's value and its JSON form, by the
+# field's annotated type
+_FIELD_CODECS: dict = {
+    int: (int, int),
+    float: (float, float),
+    Fraction: (lambda fr: f"{fr.numerator}/{fr.denominator}", Fraction),
+    tuple[int, ...]: (word_to_text, word_from_text),
+    tuple[MapNode, ...]: (
+        lambda nodes: [n.to_dict() for n in nodes],
+        lambda dicts: tuple(node_from_dict(d) for d in dicts),
+    ),
+}
+
+
+@functools.cache
+def _field_codecs(cls: type) -> tuple[tuple[str, Callable, Callable], ...]:
+    """(name, encode, decode) for each dataclass field of a node kind."""
+    hints = typing.get_type_hints(cls)
+    out = []
+    for f in dataclasses.fields(cls):
+        if hints[f.name] not in _FIELD_CODECS:
+            raise TypeError(f"{cls.kind}.{f.name}: no JSON codec for type {hints[f.name]}")
+        out.append((f.name, *_FIELD_CODECS[hints[f.name]]))
+    return tuple(out)
+
+
 def node_from_dict(d: dict) -> MapNode:
-    kind = d.get("kind")
-    if kind == "rotation":
-        return Rotation(alpha=_parse_frac(d["alpha"]))
-    if kind == "quasi_rot_tiled":
-        return QuasiRotTiled(q=int(d["q"]), eps=float(d["eps"]))
-    if kind == "untwisted_h":
-        return UntwistedH(
-            q=int(d["q"]),
-            eps=float(d["eps"]),
-            literal_big_rescale=bool(d.get("literal_big_rescale", False)),
-        )
-    if kind == "vertical_step_shear":
-        return VerticalStepShear(
-            q=int(d["q"]), eps=float(d["eps"]), i1=int(d["i1"]), s1=int(d["s1"])
-        )
-    if kind == "horizontal_step_shear":
-        return HorizontalStepShear(a=int(d["a"]), b=int(d["b"]), eps=float(d["eps"]))
-    if kind == "word_driven_phi":
-        word = tuple(int(c, 36) for c in d["word"])
-        return WordDrivenPhi(
-            q=int(d["q"]), eps=float(d["eps"]), word=word, cap_tiles=int(d.get("cap_tiles", 64))
-        )
-    if kind == "composite":
-        return Composite(nodes=tuple(node_from_dict(n) for n in d["nodes"]))
-    raise ValueError(f"unknown node kind {kind!r}")
+    """Inverse of ``MapNode.to_dict``; a missing field takes its default."""
+    cls = NODE_KINDS.get(d.get("kind"))
+    if cls is None:
+        raise ValueError(f"unknown node kind {d.get('kind')!r}")
+    return cls(**{name: dec(d[name]) for name, _, dec in _field_codecs(cls) if name in d})
 
 
 def node_to_json(node: MapNode) -> str:
@@ -841,9 +828,9 @@ def node_from_json(text: str) -> MapNode:
 # stage constructors
 
 
-def build_untwisted_h(stage: StageParams, literal_big_rescale: bool = False) -> MapNode:
+def build_untwisted_h(stage: StageParams) -> MapNode:
     """The two-block twist for one stage of the untwisted construction."""
-    return UntwistedH(q=stage.q, eps=float(stage.eps), literal_big_rescale=literal_big_rescale)
+    return UntwistedH(q=stage.q, eps=float(stage.eps))
 
 
 def build_ue_h(stage: StageParams, i1: int, s1: int) -> MapNode:
@@ -901,13 +888,6 @@ class AbCSystem:
         u[..., 0] = mod1(u[..., 0] + (-shift if inverse else shift))
         return self.H.forward(u)
 
-    def to_dict(self) -> dict:
-        return {
-            "H": self.H.to_dict(),
-            "alpha_next": _frac_str(self.alpha_next),
-            "stage": self.stage.to_dict(),
-        }
-
     def describe(self) -> str:
         st = self.stage
         lines = [
@@ -916,14 +896,6 @@ class AbCSystem:
             self.H.describe(2),
         ]
         return "\n".join(lines)
-
-
-def system_from_dict(d: dict) -> AbCSystem:
-    return AbCSystem(
-        H=node_from_dict(d["H"]),
-        alpha_next=_parse_frac(d["alpha_next"]),
-        stage=StageParams.from_dict(d["stage"]),
-    )
 
 
 def orbit(sys: AbCSystem, x, L: int, stride: int = 1) -> Array:
@@ -991,7 +963,6 @@ def jacobian_mc(
     samples: int,
     fd_step: float,
     seed: int = 0,
-    inverse: bool = False,
 ) -> dict:
     """Monte-Carlo check of |det Df - 1| by central differences.
 
@@ -1007,8 +978,7 @@ def jacobian_mc(
     keep = margin > 2.0 * fd_step
     pts = pts[keep]
     h = fd_step
-    def f(p):
-        return node.apply(p, inverse=inverse)
+    f = node.forward
     dxp = f(pts + np.array([h, 0.0]))
     dxm = f(pts - np.array([h, 0.0]))
     dyp = f(pts + np.array([0.0, h]))

@@ -29,12 +29,6 @@ class NormEstimate:
     excluded_fraction: float
     fd_discrepancy: float
 
-    def csv_row(self, label: str) -> str:
-        return (
-            f"{label},{self.k},{self.value!r},{self.grid},{self.fd_step!r},"
-            f"{self.excluded_fraction!r},{self.fd_discrepancy!r}"
-        )
-
 
 def _grid_points(g: int) -> Array:
     # grids sharing a factor with a map's cell count sample only g/q distinct

@@ -31,6 +31,23 @@ class SelectionError(RuntimeError):
         self.report = report
 
 
+_BASE36 = "0123456789abcdefghijklmnopqrstuvwxyz"
+
+
+def word_to_text(word: Sequence[int]) -> str:
+    """One lowercase base-36 digit per symbol; symbols must lie in 0..35."""
+    w = np.asarray(word, dtype=np.int64)
+    if w.size and (w.min() < 0 or w.max() >= len(_BASE36)):
+        bad = int(w.min()) if w.min() < 0 else int(w.max())
+        raise ValueError(f"symbol {bad} has no base-36 digit (symbols must lie in 0..35)")
+    return "".join(_BASE36[c] for c in w.tolist())
+
+
+def word_from_text(text: str) -> tuple[int, ...]:
+    """Inverse of ``word_to_text``."""
+    return tuple(int(c, 36) for c in text)
+
+
 def separation_threshold(s: int, eps: float) -> float:
     return 1.0 - 1.0 / s - eps * s
 
@@ -77,8 +94,7 @@ class WordSelection:
         lines = [
             f"{self.alphabet_size} {self.k} {self.n_words} {self.eps!r} {self.seed}"
         ]
-        for row in self.words:
-            lines.append("".join(np.base_repr(int(c), 36).lower() for c in row))
+        lines.extend(word_to_text(row) for row in self.words)
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -87,7 +103,7 @@ class WordSelection:
         s_, k_, n_, eps_, seed_ = lines[0].split()
         s, k, n, seed = int(s_), int(k_), int(n_), int(seed_)
         words = np.array(
-            [[int(c, 36) for c in ln.strip()] for ln in lines[1 : n + 1]],
+            [word_from_text(ln.strip()) for ln in lines[1 : n + 1]],
             dtype=np.uint16,
         )
         if words.shape != (n, k):
@@ -167,8 +183,9 @@ def verify_selection(sel: WordSelection) -> SelectionReport:
             break
     # pairwise shifts are strict (t < (1-eps)k); the self comparison also
     # covers the boundary shift t = (1-eps)k when it is an integer
-    t_pair_end = math.ceil((1.0 - sel.eps) * k)  # exclusive
-    t_self_last = math.floor((1.0 - sel.eps) * k)  # inclusive
+    rest = (1 - Fraction(sel.eps)) * k
+    t_pair_end = math.ceil(rest)  # exclusive
+    t_self_last = math.floor(rest)  # inclusive
     n_shifts = max(1, max(t_pair_end, t_self_last + 1))
     min_pair = np.full(n_shifts, np.inf)
     min_self = math.inf
@@ -258,15 +275,18 @@ def sample_selection(
     is exhausted, which signals that k is below the feasibility threshold for
     these (s, eps).
     """
-    if s < 2:
-        raise ValueError("alphabet must have at least 2 symbols")
-    if k % s != 0:
-        raise ValueError("k must be a multiple of s")
+    if not 2 <= s <= 36:
+        raise ValueError(f"alphabet must have 2 to 36 symbols (base-36 text), got {s}")
+    if k < 1 or k % s != 0:
+        raise ValueError(f"k must be a positive multiple of s = {s}, got {k}")
+    if n_words < 1:
+        raise ValueError(f"a selection needs at least one word, got {n_words}")
+    if not 0.0 < eps < 1.0:  # eps >= 1 leaves no shift to verify
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
     rng = np.random.Generator(np.random.Philox(seed))
-    dtype = np.uint8 if s <= 256 else np.uint16
 
     def fresh(count: int) -> Array:
-        raw = rng.integers(0, s, size=(count, k), dtype=np.uint16).astype(dtype)
+        raw = rng.integers(0, s, size=(count, k), dtype=np.uint16).astype(np.uint8)
         return np.stack([_repair_uniform(w, s, rng) for w in raw])
 
     words = fresh(n_words)

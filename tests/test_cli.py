@@ -192,6 +192,44 @@ def test_words_subcommand(tmp_path):
     assert "passed=True" in (outdir / "selection_report.txt").read_text()
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--alphabet", "3", "--length", "10"], "positive multiple of s = 3"),
+        (["--alphabet", "1"], "2 to 36 symbols"),
+        (["--alphabet", "40", "--length", "40"], "2 to 36 symbols"),
+        (["--alphabet", "2", "--length", "8", "--count", "0"], "at least one word"),
+        (["--alphabet", "4", "--length", "64", "--eps", "1.5"], "eps must lie in (0, 1)"),
+        (["--alphabet", "4", "--length", "64", "--eps", "nan"], "eps must lie in (0, 1)"),
+    ],
+)
+def test_words_bad_arguments_exit_code(tmp_path, capsys, monkeypatch, args, message):
+    from slowtorus import words
+
+    def no_draw(*a, **k):
+        raise AssertionError("words drawn for invalid arguments")
+
+    monkeypatch.setattr(words, "_repair_uniform", no_draw)
+    cfg_path, outdir = write_config(tmp_path)
+    assert cli.main(["words", "--config", str(cfg_path), *args]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation failure: ") and message in err
+    assert not outdir.exists()
+
+
+def test_norms_order_above_two_exit_code(tmp_path, monkeypatch):
+    from slowtorus import normest
+
+    def no_estimate(*a, **k):
+        raise AssertionError("norms estimated for an invalid order")
+
+    monkeypatch.setattr(normest, "triple_norm", no_estimate)
+    cfg_path, _ = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["norms", "--config", str(cfg_path), "--k-max", "3"])
+    assert exc.value.code == cli.EXIT_VALIDATION
+
+
 def test_norms_subcommand(tmp_path):
     cfg_path, outdir = write_config(tmp_path, grid=31)
     rc = cli.main(

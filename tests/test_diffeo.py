@@ -193,13 +193,6 @@ def test_untwisted_strip_measure_preserved():
     assert abs(frac - (hi - lo)) <= 1e-3
 
 
-def test_untwisted_literal_variant_differs():
-    strict = df.UntwistedH(q=8, eps=0.125)
-    literal = df.UntwistedH(q=8, eps=0.125, literal_big_rescale=True)
-    p = np.array([[0.05, 0.5]])
-    assert not np.allclose(strict.forward(p), literal.forward(p))
-
-
 # -- step shears ------------------------------------------------------------
 
 

@@ -1,0 +1,174 @@
+"""Properties that hold for every registered map node kind.
+
+One Hypothesis strategy per kind draws parameters inside the kind's
+ConstructionError bounds; `test_every_kind_has_a_strategy` fails when a
+kind joins the registry without one.
+"""
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+
+import slowtorus.diffeo as df
+
+twist_eps = hst.floats(min_value=0.02, max_value=0.24)
+
+
+@hst.composite
+def vertical_shears(draw):
+    # i1 >= ceil(2*eps*q) and i1 + a*s1*(s1+1)/2 <= q - ceil(2*eps*q)
+    eps = draw(hst.floats(min_value=0.05, max_value=0.2))
+    a = 2 * math.floor(1.0 / (3.0 * eps)) - 1
+    q = draw(hst.integers(4, 64).filter(lambda q: q - 2 * math.ceil(2 * eps * q) >= a))
+    lo = math.ceil(2.0 * eps * q)
+    s1 = 1
+    while 2 * lo + a * (s1 + 1) * (s1 + 2) // 2 <= q:
+        s1 += 1
+    s1 = draw(hst.integers(1, s1))
+    i1 = draw(hst.integers(lo, q - lo - a * s1 * (s1 + 1) // 2))
+    return df.VerticalStepShear(q=q, eps=eps, i1=i1, s1=s1)
+
+
+@hst.composite
+def horizontal_shears(draw):
+    # a = b * strips; the collar j0 = strips * ceil(b*eps) must stay below a/2
+    b = draw(hst.integers(3, 16))
+    strips = draw(hst.integers(1, 64))
+    eps = draw(hst.floats(min_value=0.01, max_value=((b - 1) // 2 - 0.01) / b))
+    return df.HorizontalStepShear(a=b * strips, b=b, eps=eps)
+
+
+@hst.composite
+def word_phis(draw):
+    # q * cap_tiles stays small: the block stretch 2*q^3*tiles turns a
+    # global difference step into a local one that many times longer
+    q = draw(hst.integers(1, 4))
+    word = draw(hst.lists(hst.integers(0, 35), min_size=2 * q * q, max_size=2 * q * q))
+    cap = draw(hst.integers(1, 2))
+    return df.WordDrivenPhi(q=q, eps=draw(twist_eps), word=tuple(word), cap_tiles=cap)
+
+
+LEAVES = {
+    "rotation": hst.builds(df.Rotation, hst.fractions(max_denominator=64)),
+    "quasi_rot_tiled": hst.builds(df.QuasiRotTiled, q=hst.integers(1, 16), eps=twist_eps),
+    "untwisted_h": hst.builds(df.UntwistedH, q=hst.integers(4, 12), eps=twist_eps),
+    "vertical_step_shear": vertical_shears(),
+    "horizontal_step_shear": horizontal_shears(),
+    "word_driven_phi": word_phis(),
+}
+NODE_STRATEGIES = {
+    **LEAVES,
+    "composite": hst.recursive(
+        hst.one_of(*LEAVES.values()),
+        lambda nodes: hst.lists(nodes, min_size=1, max_size=3).map(
+            lambda ns: df.Composite(nodes=tuple(ns))
+        ),
+        max_leaves=4,
+    ).filter(lambda n: isinstance(n, df.Composite)),
+}
+
+# the horizontal shifts each kind commutes with, given the node
+COMMUTING_SHIFTS = {
+    "rotation": lambda node: hst.floats(min_value=0.0, max_value=1.0),
+    "horizontal_step_shear": lambda node: hst.floats(min_value=0.0, max_value=1.0),
+    "quasi_rot_tiled": lambda node: hst.just(1.0 / node.q),
+    "untwisted_h": lambda node: hst.just(1.0 / node.q),
+    "vertical_step_shear": lambda node: hst.just(1.0 / node.q),
+    "word_driven_phi": lambda node: hst.just(1.0 / node.q),
+}
+
+prop = settings(max_examples=25, deadline=None)
+
+
+def points(seed, n=2000):
+    return np.random.Generator(np.random.Philox(seed)).random((n, 2))
+
+
+def tdist(a, b):
+    d = np.abs(a - b)
+    return np.max(np.minimum(d, 1 - d))
+
+
+def test_every_kind_has_a_strategy():
+    # other test modules define helper kinds of their own
+    package_kinds = {k for k, cls in df.NODE_KINDS.items() if cls.__module__ == df.__name__}
+    assert set(NODE_STRATEGIES) == package_kinds
+
+
+@pytest.mark.parametrize("kind", sorted(NODE_STRATEGIES))
+@prop
+@given(data=hst.data(), seed=hst.integers(0, 2**32))
+def test_inverse_undoes_forward(kind, data, seed):
+    node = data.draw(NODE_STRATEGIES[kind])
+    pts = points(seed)
+    # a stack multiplies one node's roundoff by the next node's stretch
+    tol = 1e-8 if kind == "composite" else 1e-10
+    assert tdist(node.inverse(node.forward(pts)), pts) <= tol
+
+
+@pytest.mark.parametrize("kind", sorted(NODE_STRATEGIES))
+@prop
+@given(data=hst.data())
+def test_dict_and_json_roundtrip(kind, data):
+    node = data.draw(NODE_STRATEGIES[kind])
+    assert df.node_from_dict(node.to_dict()) == node
+    text = df.node_to_json(node)
+    assert df.node_to_json(df.node_from_json(text)) == text
+
+
+@pytest.mark.parametrize("kind", sorted(COMMUTING_SHIFTS))
+@prop
+@given(data=hst.data(), seed=hst.integers(0, 2**32))
+def test_commutes_with_horizontal_rotation(kind, data, seed):
+    node = data.draw(NODE_STRATEGIES[kind])
+    shift = data.draw(COMMUTING_SHIFTS[kind](node))
+    pts = points(seed)
+    moved = pts.copy()
+    moved[:, 0] = df.mod1(moved[:, 0] + shift)
+    want = node.forward(pts)
+    want[:, 0] = df.mod1(want[:, 0] + shift)
+    assert tdist(node.forward(moved), want) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", sorted(LEAVES))
+@prop
+@given(data=hst.data(), seed=hst.integers(0, 2**32))
+def test_leaf_jacobian_is_one(kind, data, seed):
+    # a Composite is left out: its margin is the least of its nodes' margins,
+    # each taken in that node's own input coordinates
+    res = df.jacobian_mc(data.draw(LEAVES[kind]), 2000, 1e-6, seed=seed)
+    assert res["max"] < 1e-5, res
+
+
+def test_word_symbols_beyond_base36_rejected():
+    node = df.WordDrivenPhi(q=1, eps=0.1, word=(0, 36))
+    with pytest.raises(ValueError, match="symbol 36"):
+        df.node_to_json(node)
+
+
+def test_unknown_kind_rejected():
+    with pytest.raises(ValueError, match="unknown node kind 'spiral'"):
+        df.node_from_dict({"kind": "spiral"})
+
+
+def test_new_kind_needs_only_its_dataclass(monkeypatch):
+    monkeypatch.setattr(df, "NODE_KINDS", dict(df.NODE_KINDS))
+
+    @dataclass(frozen=True)
+    class VerticalRotation(df.MapNode):
+        beta: Fraction
+        turns: int = 1
+        kind = "vertical_rotation"
+
+        def forward(self, pts):
+            out = np.array(pts, dtype=float)
+            out[..., 1] = df.mod1(out[..., 1] + float(self.turns * self.beta))
+            return out
+
+    node = df.Composite(nodes=(VerticalRotation(Fraction(1, 3), turns=2), df.Rotation(Fraction(1, 5))))
+    assert df.node_from_json(df.node_to_json(node)) == node
+    assert VerticalRotation(Fraction(1, 3)).describe() == "vertical_rotation(beta=1/3, turns=1)"

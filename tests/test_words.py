@@ -88,8 +88,9 @@ def reference_failing(words, s, eps):
     and Fraction distances, over the shift ranges of verify_selection."""
     n, k = words.shape
     thr = 1 - Fraction(1, s) - Fraction(eps) * s
-    t_pair_end = math.ceil((1.0 - eps) * k)
-    t_self_last = math.floor((1.0 - eps) * k)
+    rest = (1 - Fraction(eps)) * k
+    t_pair_end = math.ceil(rest)
+    t_self_last = math.floor(rest)
     bad = set()
     for i, j, t in itertools.product(range(n), range(n), range(k)):
         if not (1 <= t <= t_self_last if i == j else t < t_pair_end):
@@ -115,6 +116,9 @@ def small_selections(draw):
 @given(case=small_selections())
 # passes at distance exactly 2/5 = 1 - 1/2 - 0.05*2, which float32 puts below
 @example(case=(2, 0.05, [[0, 0, 0, 1, 1, 0, 1, 1]]))
+# (1 - 0.1)*10 is 9.0 in floats but just below 9 exactly, so the self shift
+# t=9 (overlap 1, one match) is out of range
+@example(case=(2, 0.1, [[0, 0, 0, 1, 0, 1, 1, 1, 1, 0]]))
 def test_verify_matches_exact_reference(case):
     s, eps, rows = case
     words = np.array(rows, dtype=np.uint8)
@@ -186,6 +190,14 @@ def test_base36_symbols_roundtrip():
     )
     again = WordSelection.from_text(sel.to_text())
     assert np.array_equal(again.words, sel.words)
+
+
+def test_text_rejects_symbols_beyond_base36():
+    sel = WordSelection(
+        alphabet_size=40, k=40, eps=0.2, words=np.array([np.arange(40)]), seed=0, verified=False
+    )
+    with pytest.raises(ValueError, match="symbol 39"):
+        sel.to_text()
 
 
 def test_threshold_formula():
