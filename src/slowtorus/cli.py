@@ -165,7 +165,11 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> int:
     try:
         for eps in cfg.eps_list:
             cx.check_grid(cfg.grid, eps)
-    except cx.GridError as exc:
+        cx.check_samples(cfg.hamming_samples, max(cfg.eps_list))
+        numeric = [int(h) for h in cfg.horizons if h not in ("q", "q_next", "lq")]
+        if min(numeric + [cfg.horizon_cap]) < 1:
+            raise ValueError("horizons and horizon_cap must be >= 1")
+    except ValueError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     built = _build_or_report(cfg)

@@ -10,6 +10,13 @@ S(2e) <= N(e) <= S(e) holds exactly, ties included):
   * a cover repeatedly opens a ball at the lowest-index uncovered candidate
     and removes candidates at Bowen distance < eps (open balls).
 
+Bowen and Hamming covers run one greedy loop, which builds each candidate's
+distance to the new center chunk by chunk (a running max of torus distances
+over 64 times, a running count of mismatches over 512 positions) and drops
+the candidate once that partial distance reaches the radius.  The drop is
+exact: a max over more times and a count over more positions can only grow,
+and the counts are integers, so every result equals that of full distances.
+
 Greedy results are bounds, not extremal values: a separated count is a lower
 bound for the maximal packing of the grid, a cover count an upper bound for
 the minimal cover of the grid.
@@ -19,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -27,7 +34,8 @@ from . import diffeo
 from .diffeo import AbCSystem, Array, MapNode, as_points, mod1, orbit_batch, torus_dist
 from .scaling import ScalingFamily, eval_log
 
-_TIME_CHUNK = 64
+_TIME_CHUNK = 64  # orbit times per Bowen distance chunk
+_WORD_CHUNK = 512  # word positions per Hamming mismatch chunk
 
 
 class GridError(ValueError):
@@ -38,6 +46,13 @@ def check_grid(grid: int, eps: float) -> None:
     """Grid midpoints resolve Bowen radius eps only if eps > 2/grid."""
     if eps <= 2.0 / grid:
         raise GridError(f"grid {grid} too coarse for eps={eps}: need eps > 2/grid")
+
+
+def check_samples(sample_size: int, eps: float) -> None:
+    """A Hamming cover at radius eps needs at least 100/eps samples, decided
+    on the rational value of eps, as hamming_greedy reads it."""
+    if sample_size * Fraction(eps) < 100:
+        raise ValueError(f"sample_size must be >= 100/eps: {sample_size} samples for eps={eps}")
 
 
 # ---------------------------------------------------------------------------
@@ -127,41 +142,66 @@ def orbit_array(sys: AbCSystem, candidates: Array, times: Sequence[int]) -> Arra
     return orbit_batch(sys, candidates, times)
 
 
-def _dist_to_center(orbits: Array, c: int, idxs: Array, eps: float) -> Array:
-    """Bowen distance from candidate c to candidates idxs, with early drop of
-    candidates that already exceed eps (their exact value is not needed)."""
-    T = orbits.shape[0]
-    d = np.zeros(len(idxs))
-    alive = np.ones(len(idxs), dtype=bool)
-    for t0 in range(0, T, _TIME_CHUNK):
-        t1 = min(t0 + _TIME_CHUNK, T)
-        if not np.any(alive):
+def _greedy_balls(
+    items: Array,
+    chunk: int,
+    part_dist: Callable[[Array, Array], Array],
+    combine: Callable[[Array, Array], Array],
+    radius,
+    need=None,
+) -> tuple[list[int], int]:
+    """Greedy cover of the rows of an item-major (n, T, ...) array by open
+    balls: open a ball at the first uncovered item and cover every uncovered
+    item whose distance to it is < radius; stop once ``need`` items are
+    covered (default: all).  The distance is accumulated chunk by chunk,
+    ``d = combine(d, part_dist(items[live, t0:t1], items[c, t0:t1]))``, and
+    an item is dropped as soon as ``d >= radius``.  ``combine`` must never
+    lower ``d`` (a running max, a sum of counts), so a dropped item would
+    have stayed outside the ball and the result equals that of full
+    distances.  Once the center is the only item left (its distance to
+    itself stays 0), the remaining chunks are skipped.
+    Returns (centers, covered items)."""
+    n, T = items.shape[:2]
+    need = n if need is None else need
+    covered = np.zeros(n, dtype=bool)
+    centers: list[int] = []
+    n_cov = 0
+    for c in range(n):
+        if n_cov >= need:
             break
-        seg = torus_dist(orbits[t0:t1, idxs[alive], :], orbits[t0:t1, c : c + 1, :])
-        d[alive] = np.maximum(d[alive], seg.max(axis=0))
-        alive &= d < eps
-    return d
+        if covered[c]:
+            continue
+        centers.append(c)
+        live = np.flatnonzero(~covered)
+        d = 0
+        for t0 in range(0, T, chunk):
+            d = combine(d, part_dist(items[live, t0 : t0 + chunk], items[c, t0 : t0 + chunk]))
+            keep = d < radius
+            live, d = live[keep], d[keep]
+            if len(live) == 1:
+                break
+        covered[live] = True
+        n_cov += len(live)
+    return centers, n_cov
 
 
 def greedy_centers(orbits: Array, eps: float) -> list[int]:
-    """Maximal eps-separated subset scanned in candidate order.
+    """Maximal eps-separated subset of the (T, N, 2) orbits, scanned in
+    candidate order.
 
     The same set read as ball centers is a cover of the candidates with open
     eps-balls, so its size is simultaneously a lower bound for the maximal
-    packing and an upper bound for the minimal cover of the grid.
+    packing and an upper bound for the minimal cover of the grid.  The orbits
+    are read point-major, which is contiguous for the views orbit_array
+    returns.
     """
-    N = orbits.shape[1]
-    excluded = np.zeros(N, dtype=bool)
-    kept: list[int] = []
-    idx_all = np.arange(N)
-    for c in range(N):
-        if excluded[c]:
-            continue
-        kept.append(c)
-        rest = idx_all[~excluded]
-        d = _dist_to_center(orbits, c, rest, eps)
-        excluded[rest[d < eps]] = True
-    return kept
+    return _greedy_balls(
+        orbits.transpose(1, 0, 2),
+        _TIME_CHUNK,
+        lambda a, b: torus_dist(a, b).max(axis=1),
+        np.maximum,
+        eps,
+    )[0]
 
 
 @dataclass(frozen=True)
@@ -329,8 +369,7 @@ def hamming_cover(
     """Greedy covering of coded sample orbits by Hamming balls of radius eps
     until at least a (1 - eps) fraction of the samples is covered; the ball
     count estimates the minimal Hamming cover of that measure."""
-    if sample_size < 100.0 / eps:
-        raise ValueError("sample_size must be >= 100/eps")
+    check_samples(sample_size, eps)
     rng = np.random.Generator(np.random.Philox(seed))
     pts = rng.random((sample_size, 2))
     count, covered = hamming_greedy(code_orbits(sys, part, pts, n_time), eps)
@@ -348,25 +387,19 @@ def hamming_greedy(words: Array, eps: float) -> tuple[int, int]:
     stop once at least (1 - eps)*n words are covered.  Both rules are exact:
     eps is read as the rational value of the float, and the integer mismatch
     counts are held against the Python int ceil(eps*T), which cannot overflow.
+    Mismatches are counted in _WORD_CHUNK-position chunks, and a word leaves
+    the ball's candidates once its count reaches the radius.
     Returns (balls, covered words)."""
-    n, T = words.shape
     eps = Fraction(eps)
-    radius = math.ceil(eps * T)
-    need = (1 - eps) * n
-    covered = np.zeros(n, dtype=bool)
-    n_cov = balls = 0
-    for c in range(n):
-        if n_cov >= need:
-            break
-        if covered[c]:
-            continue
-        unc = np.flatnonzero(~covered)
-        mism = np.count_nonzero(words[unc] != words[c], axis=1)
-        new = unc[mism < radius]
-        covered[new] = True
-        n_cov += len(new)
-        balls += 1
-    return balls, n_cov
+    centers, covered = _greedy_balls(
+        words,
+        _WORD_CHUNK,
+        lambda a, b: np.count_nonzero(a != b, axis=1),
+        np.add,
+        math.ceil(eps * words.shape[1]),
+        need=(1 - eps) * words.shape[0],
+    )
+    return len(centers), covered
 
 
 # ---------------------------------------------------------------------------

@@ -917,16 +917,21 @@ def orbit_images(
 ) -> Array:
     """H(base + (frac, 0)) for each frac: orbit of H(base) under H R^t H^{-1}
     without the inverse pull-back (useful when base points are given in
-    pre-conjugation coordinates), as (len(fracs), n, 2).
+    pre-conjugation coordinates), as (len(fracs), n, 2).  The float orbit is
+    a view of a point-major (n, len(fracs), 2) buffer, so each point's orbit
+    is contiguous (greedy_centers reads it that way).
 
     Each H.forward call takes whole time slices, about ORBIT_CHUNK_POINTS
     points.  With ``label``, a per-point map from (m, 2) points to m values,
-    each chunk is labelled at once into a (len(fracs), n) array of ``dtype``,
-    so the float orbit is never held.
+    each chunk is labelled at once into a time-major (len(fracs), n) array of
+    ``dtype``, so the float orbit is never held.
     """
     base = as_points(base)
     n = base.shape[0]
-    out = np.empty((len(fracs), n) + ((2,) if label is None else ()), dtype=dtype)
+    if label is None:
+        out = np.empty((n, len(fracs), 2), dtype=dtype).transpose(1, 0, 2)
+    else:
+        out = np.empty((len(fracs), n), dtype=dtype)
     step = max(1, ORBIT_CHUNK_POINTS // max(n, 1))
     for i in range(0, len(fracs), step):
         fr = fracs[i : i + step]

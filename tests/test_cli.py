@@ -271,13 +271,31 @@ def test_params_chain_error_exit(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("construction error: ")
 
 
-def test_run_coarse_grid_exits_before_building(tmp_path, monkeypatch):
+@pytest.fixture
+def forbid_build(monkeypatch):
     def no_build(*args, **kwargs):
         raise AssertionError("systems built for an invalid config")
 
     monkeypatch.setattr(cli, "build_systems", no_build)
+
+
+def test_run_coarse_grid_exits_before_building(tmp_path, forbid_build):
     cfg_path, _ = write_config(tmp_path, grid=16, eps_list=[0.125])
     assert cli.main(["run", "--config", str(cfg_path)]) == cli.EXIT_VALIDATION
+
+
+def test_run_too_few_hamming_samples_exits_before_building(tmp_path, forbid_build, capsys):
+    cfg_path, _ = write_config(tmp_path, hamming_samples=100, eps_list=[0.125])
+    assert cli.main(["run", "--config", str(cfg_path)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("validation failure: sample_size")
+
+
+@pytest.mark.parametrize("override", [{"horizons": ["1", "0"]}, {"horizon_cap": 0}])
+def test_run_horizon_below_one_exits_before_building(tmp_path, forbid_build, capsys, override):
+    # a zero horizon would measure orbits and words of length 0
+    cfg_path, _ = write_config(tmp_path, **override)
+    assert cli.main(["run", "--config", str(cfg_path)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("validation failure: horizons")
 
 
 def test_run_budget_estimate_two_stages(tmp_path, capsys):

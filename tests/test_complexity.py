@@ -1,7 +1,10 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 import slowtorus.complexity as cx
 import slowtorus.diffeo as df
@@ -214,6 +217,130 @@ def test_hamming_greedy_exact_radius():
 def test_hamming_sample_size_floor():
     with pytest.raises(ValueError):
         cx.hamming_cover(IDENT_SYS, cx.GridPartition(2, 2), 5, 0.1, 50, seed=0)
+    # 100 / (1/3) is 300.0 in floats, but 300 * Fraction(1/3) is just below 100
+    with pytest.raises(ValueError):
+        cx.hamming_cover(IDENT_SYS, cx.GridPartition(2, 2), 5, 1 / 3, 300, seed=0)
+    cx.check_samples(301, 1 / 3)
+
+
+# -- the early-drop greedy against full distances -----------------------------
+
+
+def reference_greedy_centers(orbits, eps):
+    """Greedy Bowen centers from full distances over every time."""
+    covered = np.zeros(orbits.shape[1], dtype=bool)
+    kept = []
+    for c in range(orbits.shape[1]):
+        if not covered[c]:
+            kept.append(c)
+            covered |= df.torus_dist(orbits, orbits[:, c : c + 1]).max(axis=0) < eps
+    return kept
+
+
+def reference_hamming_greedy(words, eps):
+    """Greedy Hamming cover from full mismatch counts as Fraction distances."""
+    n, T = words.shape
+    eps = Fraction(eps)
+    covered = np.zeros(n, dtype=bool)
+    balls = 0
+    for c in range(n):
+        if covered.sum() >= (1 - eps) * n:
+            break
+        if not covered[c]:
+            balls += 1
+            covered |= [Fraction(int(np.count_nonzero(w != words[c])), T) < eps for w in words]
+    return balls, int(covered.sum())
+
+
+@hst.composite
+def lattice_orbits(draw):
+    """(orbits, m, eps): (T, N, 2) orbits on the 1/32 lattice, read on their
+    first m times, eps = k/32.  Points share a drifting path plus a small
+    offset and sparse jumps, so many Bowen distances sit at or near eps."""
+    T = draw(hst.integers(min_value=1, max_value=200))
+    m = draw(hst.integers(min_value=1, max_value=T))
+    n = draw(hst.integers(min_value=1, max_value=10))
+    k = draw(hst.integers(min_value=1, max_value=15))
+    rng = np.random.default_rng(draw(hst.integers(min_value=0, max_value=2**32 - 1)))
+    path = rng.integers(0, 32, size=(1, T, 2))
+    offset = rng.integers(-k - 1, k + 2, size=(n, 1, 2))
+    jumps = rng.integers(-k - 1, k + 2, size=(n, T, 2)) * (rng.random((n, T, 1)) < 0.02)
+    buf = ((path + offset + jumps) % 32) / 32.0
+    # point-major storage, as orbit_array returns it, or time-major
+    orbits = buf.transpose(1, 0, 2)
+    if draw(hst.booleans()):
+        orbits = np.ascontiguousarray(orbits)
+    return orbits, m, k / 32
+
+
+def _bowen_tie_case():
+    # eps = 4/32 and T = 100 (two time chunks).  Point 1 is at distance
+    # exactly eps from point 0 at t=64 only, the first time of the second
+    # chunk, and point 4 at t=99 only, the last time: both stay out of the
+    # ball.  Point 2 is just inside; point 3 is out at t=63 only, the last
+    # time of the first chunk
+    buf = np.zeros((5, 100, 2))
+    buf[1, 64, 0] = 4 / 32
+    buf[2, 70, 0] = 3 / 32
+    buf[3, 63, 1] = 5 / 32
+    buf[4, 99, 1] = 4 / 32
+    return buf.transpose(1, 0, 2), 100, 4 / 32
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=lattice_orbits())
+@example(case=_bowen_tie_case())
+def test_greedy_centers_matches_full_distances(case):
+    orbits, m, eps = case
+    assert cx.greedy_centers(orbits[:m], eps) == reference_greedy_centers(orbits[:m], eps)
+
+
+@hst.composite
+def near_words(draw):
+    """(words, eps): up to 10 words of length T < 1300 over 3 symbols, each a
+    copy of an earlier word with about ceil(eps*T) positions changed, spread
+    over the whole word."""
+    T = draw(hst.integers(min_value=1, max_value=1300))
+    n = draw(hst.integers(min_value=1, max_value=10))
+    eps = draw(hst.sampled_from([1 / 16, 0.1, 1 / 8, 0.3, 1 / 3]))
+    radius = math.ceil(Fraction(eps) * T)
+    rng = np.random.default_rng(draw(hst.integers(min_value=0, max_value=2**32 - 1)))
+    words = np.zeros((n, T), dtype=np.uint8)
+    words[0] = rng.integers(0, 3, size=T)
+    for i in range(1, n):
+        changes = draw(hst.sampled_from([radius - 1, radius, radius + 1, T]))
+        pos = rng.choice(T, size=min(max(changes, 0), T), replace=False)
+        words[i] = words[draw(hst.integers(min_value=0, max_value=i - 1))]
+        words[i, pos] = (words[i, pos] + rng.integers(1, 3, size=len(pos))) % 3
+    return words, eps
+
+
+def _hamming_tie_case():
+    # T=700, eps=1/8: radius ceil(87.5) = 88.  Word 1 has exactly 88
+    # mismatches with word 0, half on each side of position 512, so it opens
+    # a second ball; word 2 has 87 and is covered by the first
+    words = np.zeros((3, 700), dtype=np.uint8)
+    words[1, 468:556] = 1
+    words[2, 469:556] = 1
+    return words, 1 / 8
+
+
+def _hamming_stop_case():
+    # seven of eight words are covered by the first ball: (1 - 1/8)*8 = 7
+    # words are enough, so the far word never opens a ball
+    words = np.zeros((8, 1000), dtype=np.uint8)
+    words[1:7, 505:520] = 1
+    words[7] = 2
+    return words, 1 / 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=near_words())
+@example(case=_hamming_tie_case())
+@example(case=_hamming_stop_case())
+def test_hamming_greedy_matches_full_counts(case):
+    words, eps = case
+    assert cx.hamming_greedy(words, eps) == reference_hamming_greedy(words, eps)
 
 
 def test_coded_agreement_tracks_proximity():

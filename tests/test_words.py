@@ -45,6 +45,8 @@ def test_selection_passes_at_scale_smoke():
     assert rep.passed and rep.uniform
     assert rep.min_pairwise >= 0.5
     assert rep.min_self_sliding >= 0.5
+    for field in ("passed", "uniform", "failing", "min_pairwise", "min_self_sliding"):
+        assert getattr(sel.report, field) == getattr(rep, field)
 
 
 def test_small_case_fails_exhaustively():
