@@ -7,9 +7,11 @@ random positions, deficits refilled left-to-right in symbol order), then
 verified exhaustively: for every ordered pair and every shift t < (1-eps)*k
 (t >= 1 when a word is compared against itself) the normalized Hamming
 distance over the overlap must reach 1 - 1/s - eps*s.  Verification is
-exhaustive, never probabilistic: one scan over the shifts per sampling round,
-deciding every (pair, shift) on exact integer match counts against the exact
-rational threshold, and returning the failing words for resampling.
+exhaustive, never probabilistic: once per sampling round, FFT
+cross-correlations of the symbol indicators, taken over blocks of words and
+rounded under a 0.25 guard, give the exact integer match count of every
+(pair, shift); each is decided against the exact rational threshold in
+integers, and the failing words are returned for resampling.
 """
 from __future__ import annotations
 
@@ -139,39 +141,42 @@ class SelectionReport:
         return self.uniform and not self.failing
 
 
-def _one_hot(words: Array, s: int) -> Array:
-    n, k = words.shape
-    out = np.zeros((n, k, s), dtype=np.float32)
-    rows = np.repeat(np.arange(n), k)
-    cols = np.tile(np.arange(k), n)
-    out[rows, cols, words.ravel()] = 1.0
-    return out
-
-
-def _match_counts(onehot: Array, t: int) -> Array:
-    """matches[i, j] = #positions where word_i[p] == word_j[p + t].
-
-    The float32 one-hot product is exact: every count is an integer <= k,
-    and k < 2**24, so the result is returned as int64.
-    """
-    n, k, s = onehot.shape
-    a = onehot[:, : k - t, :].reshape(n, -1)
-    b = onehot[:, t:, :].reshape(n, -1)
-    return (a @ b.T).astype(np.int64)
+# Cap on the correlation values held for one block pair: blocks of w words
+# with w*w*L <= cap, where L is the FFT length.  2**16 gives 2x2 blocks at
+# k = 4000 and 8x8 at k = 500, and keeps the blocks' spectra, products and
+# correlations to about a megabyte.
+_BLOCK_CORR = 1 << 16
 
 
 def verify_selection(sel: WordSelection) -> SelectionReport:
     """Exhaustive check of uniformity and all pair/shift separations.
 
-    One scan over the shifts.  A (pair, shift) with m matches over an
-    overlap of o positions violates when its distance 1 - m/o is below
-    1 - p/d, where p/d = 1/s + eps*s exactly; in integers, when
-    m > (o*p) // d.  The report's distances are 1 - m/o in float64; its
-    verdict and failing words come from the integer test alone.
+    The match count m_ij(t) = #{p : w_i[p] == w_j[p + t]} of every ordered
+    pair (self pairs included) and every shift t is an exact integer, read
+    off one FFT cross-correlation: the sum over the symbols of the
+    correlations of their float64 indicators, zero-padded to a length L
+    of at least 2k - 1.  One inverse transform per unordered pair gives
+    both orders, m_ij(t) at index t and m_ji(t) at index L - t.  The
+    correlations are rounded to integers, and ArithmeticError is raised if
+    any lies more than 0.25 from its integer.  Words are taken in blocks
+    whose correlations hold at most ``_BLOCK_CORR`` values, so memory does
+    not grow with the number of words.
+
+    A (pair, shift) with m matches over an overlap of o positions violates
+    when its distance 1 - m/o is below 1 - p/d, where p/d = 1/s + eps*s
+    exactly; in integers, when m > (o*p) // d.  The report's distances are
+    1 - m/o in float64; its verdict and failing words come from the integer
+    test alone.  Each reduction keeps the order of a scan over the shifts,
+    row-major over (i, j) within a shift: the first maximum per shift, the
+    first minimum over the shifts (pair before self), and ``failing`` in
+    the order its words first violate.
     """
     s, k = sel.alphabet_size, sel.k
     words = np.asarray(sel.words)
     n = words.shape[0]
+    if words.size and (words.min() < 0 or words.max() >= s):
+        bad = int(words.min()) if words.min() < 0 else int(words.max())
+        raise ValueError(f"symbol {bad} lies outside the alphabet 0..{s - 1}")
     thr = separation_threshold(s, sel.eps)
     bound = Fraction(1, s) + Fraction(sel.eps) * s  # exact: thr = 1 - bound
     target = k // s
@@ -187,41 +192,94 @@ def verify_selection(sel: WordSelection) -> SelectionReport:
     t_pair_end = math.ceil(rest)  # exclusive
     t_self_last = math.floor(rest)  # inclusive
     n_shifts = max(1, max(t_pair_end, t_self_last + 1))
+    T = min(n_shifts, k)
+    shifts = np.arange(T)
+    overlap = k - shifts
+    # counts lie in 0..k, so clipping keeps every `m > limit` exact in int64
+    limit = np.array(
+        [min(max((o * bound.numerator) // bound.denominator, -1), k) for o in overlap.tolist()],
+        dtype=np.int64,
+    )
+    pair_t = (shifts < t_pair_end) & (n > 1)
+    self_t = (shifts >= 1) & (shifts <= t_self_last)
+    # Per shift, the most matches of a pair i != j, folded with the scan's
+    # tie-break into one key m*n*n + (n*n - 1 - (i*n + j)): the largest key
+    # is the row-major first maximum.  Likewise m*n + (n - 1 - i) for a word
+    # against itself.
+    nn = n * n
+    pair_key = np.full(T, -1, dtype=np.int64)
+    self_key = np.full(T, -1, dtype=np.int64)
+    # per word: the first (t, i, j), as t*n*n + i*n + j, where it is the
+    # later word of a violating comparison
+    no_viol = np.iinfo(np.int64).max
+    first_viol = np.full(n, no_viol, dtype=np.int64)
+
+    def scan(i: Array, j: Array, m: Array) -> None:
+        """Fold the counts m[a, b, t] of the pairs (i[a, b], j[a, b])."""
+        same = i == j
+        key = m * nn + (nn - 1 - (i * n + j))[..., None]
+        key[same] = -1
+        np.maximum(pair_key, key.reshape(-1, T).max(axis=0), out=pair_key)
+        if same.any():
+            own = m[same] * n + (n - 1 - i[same])[:, None]
+            np.maximum(self_key, own.max(axis=0), out=self_key)
+        a, b, t = np.nonzero(m > limit)
+        if a.size:
+            vi, vj = i[a, b], j[a, b]
+            ok = np.where(vi == vj, self_t[t], pair_t[t])
+            vi, vj, t = vi[ok], vj[ok], t[ok]
+            np.minimum.at(first_viol, np.maximum(vi, vj), t * nn + vi * n + vj)
+
+    size = 1 << (2 * k - 1).bit_length()
+    width = max(1, min(n, math.isqrt(_BLOCK_CORR // size)))  # words per block
+    symbols = np.arange(s, dtype=words.dtype)[:, None]
+
+    def spectra(blk: Array) -> Array:
+        """(len(blk), s, size // 2 + 1): spectra of the symbol indicators."""
+        return np.fft.rfft((words[blk, None, :] == symbols).astype(np.float64), size)
+
+    blocks = [np.arange(lo, min(lo + width, n)) for lo in range(0, n, width)]
+    for bi, rows in enumerate(blocks):
+        f_rows = spectra(rows)
+        np.conjugate(f_rows, out=f_rows)
+        for cols in blocks[bi:]:
+            f_cols = np.conj(f_rows) if cols is rows else spectra(cols)
+            acc = f_rows[:, None, 0] * f_cols[None, :, 0]
+            for a in range(1, s):
+                acc += f_rows[:, None, a] * f_cols[None, :, a]
+            corr = np.fft.irfft(acc, size)
+            m = np.rint(corr)
+            corr -= m
+            if np.abs(corr).max() > 0.25:
+                raise ArithmeticError("cross-correlation too inexact to round")
+            m = m.astype(np.int64)
+            i, j = np.meshgrid(rows, cols, indexing="ij")
+            scan(i, j, m[..., :T])
+            if cols is not rows:
+                # m_ji(t) sits at index size - t of the correlation of (i, j)
+                scan(j, i, np.concatenate([m[..., :1], m[..., : -T : -1]], axis=-1))
+
+    pair_m, pair_at = np.divmod(pair_key, nn)
+    self_m, self_at = np.divmod(self_key, n)
     min_pair = np.full(n_shifts, np.inf)
-    min_self = math.inf
+    min_pair[:T][pair_t] = 1.0 - pair_m[pair_t] / overlap[pair_t]
+    min_self_t = np.where(self_t, 1.0 - self_m / overlap, np.inf)
+    min_self = float(min_self_t.min())
+    # the scan order: shift by shift, the pair candidate before the self one
+    cand = np.stack([min_pair[:T], min_self_t], axis=1).reshape(-1)
     worst = (0, 0, 0, math.inf)
-    failing: set[int] = set()
-    onehot = _one_hot(words, s)
-    off_diag = ~np.eye(n, dtype=bool)
-    for t in range(min(n_shifts, k)):
-        overlap = k - t
-        matches = _match_counts(onehot, t)
-        # the closest pair has the most matches; first maximum, row-major
-        if n > 1 and t < t_pair_end:
-            pair = np.where(off_diag, matches, -1)
-            i, j = divmod(int(np.argmax(pair)), n)
-            dmin = 1.0 - int(pair[i, j]) / overlap
-            min_pair[t] = dmin
-            if dmin < worst[3]:
-                worst = (i, j, t, dmin)
-        if 1 <= t <= t_self_last:
-            own = np.diagonal(matches)
-            i = int(np.argmax(own))
-            dself = 1.0 - int(own[i]) / overlap
-            if dself < min_self:
-                min_self = dself
-                if dself < worst[3]:
-                    worst = (i, i, t, dself)
-        limit = (overlap * bound.numerator) // bound.denominator
-        if matches.max() > limit:
-            viol = matches > limit
-            if t == 0 or t > t_self_last:
-                np.fill_diagonal(viol, False)  # self comparison out of range
-            if t >= t_pair_end:
-                viol &= ~off_diag  # pairwise comparison out of range
-            # resample the later word of each offending pair
-            for i, j in zip(*np.nonzero(viol)):
-                failing.add(int(max(i, j)))
+    if np.isfinite(cand.min()):
+        t, is_self = divmod(int(cand.argmin()), 2)
+        if is_self:
+            i = n - 1 - int(self_at[t])
+            worst = (i, i, t, float(min_self_t[t]))
+        else:
+            i, j = divmod(nn - 1 - int(pair_at[t]), n)
+            worst = (i, j, t, float(min_pair[t]))
+    # resample the later word of each offending pair; a set's iteration
+    # order follows its insertions, so insert in scan order
+    hit = np.flatnonzero(first_viol != no_viol)
+    failing = set(hit[np.argsort(first_viol[hit])].tolist())
     return SelectionReport(
         threshold=thr,
         uniform=uniform,

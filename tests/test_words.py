@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
+import slowtorus.words as words_module
 from slowtorus.words import (
     SelectionError,
     WordSelection,
@@ -85,51 +87,170 @@ def test_verify_borderline_distance_passes():
     assert rep.min_self_sliding == 0.4
 
 
-def reference_failing(words, s, eps):
-    """Later word of every violating (i, j, t), from integer match counts
-    and Fraction distances, over the shift ranges of verify_selection."""
+def shift_counts(words, s):
+    """Yield, for each shift t, counts[i, j] = #{p : w_i[p] == w_j[p + t]}
+    from the per-shift product of the words' one-hot encodings (exact: the
+    float64 products sum integers far below 2**53)."""
+    n, k = words.shape
+    onehot = (words[:, :, None] == np.arange(s)).astype(np.float64)
+    for t in range(k):
+        a = onehot[:, : k - t].reshape(n, -1)
+        b = onehot[:, t:].reshape(n, -1)
+        yield (a @ b.T).astype(np.int64)
+
+
+def reference_report(words, s, eps):
+    """The report of a plain scan over the shifts of verify_selection, row
+    by row over (i, j) within a shift, with exact Fraction thresholds:
+    (worst_pair, min_pairwise_per_shift, min_self_sliding, failing), with
+    the failing words added to the set in the order they first violate."""
     n, k = words.shape
     thr = 1 - Fraction(1, s) - Fraction(eps) * s
     rest = (1 - Fraction(eps)) * k
     t_pair_end = math.ceil(rest)
     t_self_last = math.floor(rest)
-    bad = set()
-    for i, j, t in itertools.product(range(n), range(n), range(k)):
-        if not (1 <= t <= t_self_last if i == j else t < t_pair_end):
-            continue
-        matches = sum(int(a == b) for a, b in zip(words[i, : k - t], words[j, t:]))
-        if Fraction(k - t - matches, k - t) < thr:
-            bad.add(max(i, j))
-    return bad
+    n_shifts = max(1, t_pair_end, t_self_last + 1)
+    min_pair = [math.inf] * n_shifts
+    min_self, worst, failing = math.inf, (0, 0, 0, math.inf), set()
+    for t, m in zip(range(n_shifts), shift_counts(words, s)):
+        o = k - t
+        if n > 1 and t < t_pair_end:
+            # max() keeps the first of equal counts: the row-major first pair
+            c, i, j = max(
+                ((m[i, j], i, j) for i in range(n) for j in range(n) if i != j),
+                key=lambda cand: cand[0],
+            )
+            min_pair[t] = 1.0 - int(c) / o
+            if min_pair[t] < worst[3]:
+                worst = (i, j, t, min_pair[t])
+        if 1 <= t <= t_self_last:
+            c, i = max(((m[i, i], i) for i in range(n)), key=lambda cand: cand[0])
+            d = 1.0 - int(c) / o
+            min_self = min(min_self, d)
+            if d < worst[3]:
+                worst = (i, i, t, d)
+        # distance (o - c)/o < thr  <=>  c > the largest count at thr
+        bad = m > math.floor(o * (1 - thr))
+        for i, j in zip(*np.nonzero(bad)):
+            if 1 <= t <= t_self_last if i == j else t < t_pair_end:
+                failing.add(int(max(i, j)))
+    return worst, min_pair, min_self, failing
+
+
+def assert_report_is(rep, words, s, eps):
+    worst, min_pair, min_self, failing = reference_report(words, s, eps)
+    assert rep.worst_pair == worst
+    assert rep.min_pairwise_per_shift.tolist() == min_pair
+    assert rep.min_self_sliding == min_self
+    # a set iterates in an order that depends on its insertions
+    assert list(rep.failing) == list(failing)
+    assert rep.passed == (rep.uniform and not failing)
+
+
+def fft_length(k):
+    return 1 << (2 * k - 1).bit_length()
 
 
 @hst.composite
 def small_selections(draw):
-    """(s, eps, words): up to 4 exactly uniform words of length k <= 24."""
+    """(s, eps, words): up to 12 exactly uniform words of length k <= 24."""
     s = draw(hst.integers(min_value=2, max_value=4))
     k = s * draw(hst.integers(min_value=1, max_value=24 // s))
-    n = draw(hst.integers(min_value=1, max_value=4))
+    n = draw(hst.integers(min_value=1, max_value=12))
     eps = draw(hst.sampled_from([0.02, 0.05, 1 / 16, 0.1]))
     balanced = [sym for sym in range(s) for _ in range(k // s)]
     return s, eps, [draw(hst.permutations(balanced)) for _ in range(n)]
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=small_selections())
+@given(case=small_selections(), block=hst.integers(min_value=1, max_value=3))
 # passes at distance exactly 2/5 = 1 - 1/2 - 0.05*2, which float32 puts below
-@example(case=(2, 0.05, [[0, 0, 0, 1, 1, 0, 1, 1]]))
+@example(case=(2, 0.05, [[0, 0, 0, 1, 1, 0, 1, 1]]), block=1)
 # (1 - 0.1)*10 is 9.0 in floats but just below 9 exactly, so the self shift
 # t=9 (overlap 1, one match) is out of range
-@example(case=(2, 0.1, [[0, 0, 0, 1, 0, 1, 1, 1, 1, 0]]))
-def test_verify_matches_exact_reference(case):
+@example(case=(2, 0.1, [[0, 0, 0, 1, 0, 1, 1, 1, 1, 0]]), block=1)
+# (1 - 1/8)*8 = 7 exactly: t=7 is a self shift but not a pair shift, and
+# only pairs match there
+@example(case=(2, 0.125, [[0, 0, 1, 1, 0, 1, 0, 1], [1, 1, 0, 0, 1, 0, 1, 0]]), block=1)
+# blocks {0, 1} and {2}: at the worst shift t=2, pair (1, 0) of the first
+# block and pair (0, 2) of the second match equally; (0, 2) comes first
+@example(
+    case=(2, 0.1, [[0, 1, 1, 0, 0, 0, 1, 1], [1, 0, 0, 0, 1, 1, 0, 1], [1, 1, 0, 1, 1, 0, 0, 0]]),
+    block=2,
+)
+def test_verify_matches_exact_reference(case, block):
     s, eps, rows = case
     words = np.array(rows, dtype=np.uint8)
     k = words.shape[1]
     sel = WordSelection(alphabet_size=s, k=k, eps=eps, words=words, seed=0, verified=False)
+    # blocks of `block` words, so that comparisons cross block boundaries
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(words_module, "_BLOCK_CORR", block * block * fft_length(k))
+        rep = verify_selection(sel)
+    assert_report_is(rep, words, s, eps)
+
+
+def test_failing_iterates_in_scan_order():
+    # word 9 repeats word 0 and violates at t=0; word 1 has period 4 and
+    # violates against itself at t=4.  9 and 1 share a slot of the set's
+    # 8-slot table, so the set iterates 9 first only if 9 was added first.
+    rows = [
+        "303110313031022321022102",
+        "012301230123012301230123",
+        "203110002231013321223310",
+        "332001030221131312123200",
+        "123310130322003021211032",
+        "031133321021121002232300",
+        "120022321231331010332001",
+        "313020231013003212122301",
+        "121323210313213020032100",
+        "303110313031022321022102",
+    ]
+    sel = WordSelection.from_text("\n".join(["4 24 10 0.18 0", *rows]))
     rep = verify_selection(sel)
-    want = reference_failing(words, s, eps)
-    assert rep.failing == want
-    assert rep.passed == (not want)
+    assert list(rep.failing) == [9, 1, 6]
+    assert_report_is(rep, sel.words, 4, 0.18)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_verify_matches_reference_at_scale(seed, monkeypatch):
+    # the first round of these seeds fails, so every part of the report,
+    # failing words included, is compared across many blocks of 8 words
+    first = []
+    verify = words_module.verify_selection
+    monkeypatch.setattr(
+        words_module, "verify_selection", lambda sel: first.append(sel) or verify(sel)
+    )
+    with pytest.raises(SelectionError):
+        sample_selection(s=4, k=500, n_words=40, eps=1 / 16, seed=seed, max_rounds=1)
+    rep = verify(first[0])
+    assert rep.failing
+    assert_report_is(rep, first[0].words, 4, 1 / 16)
+
+
+def test_verify_memory_stays_lean():
+    # one k=4000 verification: the per-shift one-hot product it replaced
+    # peaked at 5.22 MB traced, the blocked FFT at 2.93 MB
+    k = 4000
+    rng = np.random.default_rng(0)
+    words = rng.permuted(np.tile(np.repeat(np.arange(4, dtype=np.uint8), k // 4), (40, 1)), axis=1)
+    sel = WordSelection(alphabet_size=4, k=k, eps=1 / 16, words=words, seed=0, verified=False)
+    tracemalloc.start()
+    try:
+        verify_selection(sel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
+def test_verify_rejects_symbols_outside_alphabet():
+    with pytest.raises(ValueError, match=r"symbol 9 lies outside the alphabet 0\.\.3"):
+        WordSelection.from_text("4 4 1 0.1 0\n0129\n", verify=True)
+    words = np.array([[0, 1, -1, 2]])
+    sel = WordSelection(alphabet_size=4, k=4, eps=0.1, words=words, seed=0, verified=False)
+    with pytest.raises(ValueError, match=r"symbol -1 lies outside the alphabet 0\.\.3"):
+        verify_selection(sel)
 
 
 def test_verification_is_idempotent():
