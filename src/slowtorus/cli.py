@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import complexity as cx
 from . import diffeo, normest, params, reporting, scaling, words
@@ -29,7 +29,8 @@ EXIT_CONSTRUCTION = 4
 
 
 class ConfigError(ValueError):
-    """A config names fields ExperimentConfig does not have."""
+    """A config file cannot be read, holds no JSON object, or names fields
+    ExperimentConfig does not have."""
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,13 @@ class ExperimentConfig:
 def load_config(path: Optional[str], overrides: dict) -> ExperimentConfig:
     data: dict = {}
     if path:
-        data.update(json.loads(Path(path).read_text()))
+        try:
+            loaded = json.loads(Path(path).read_text())
+        except (OSError, ValueError) as exc:  # missing, unreadable or not JSON
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config {path} must hold a JSON object, not {type(loaded).__name__}")
+        data.update(loaded)
     data.update({k: v for k, v in overrides.items() if v is not None})
     for key in ("kl_schedule", "horizons", "eps_list", "families", "t_grid"):
         if key in data and isinstance(data[key], list):
@@ -97,20 +104,35 @@ def load_config(path: Optional[str], overrides: dict) -> ExperimentConfig:
     return ExperimentConfig(**data)
 
 
-def _resolve_horizons(cfg: ExperimentConfig, stage: params.StageParams) -> list[int]:
+# horizons named by the stage they are read from
+_STAGE_HORIZONS = {
+    "q": lambda st: st.q,
+    "q_next": lambda st: st.q_next,
+    "lq": lambda st: st.l_prime * st.q,
+}
+
+
+def _parse_horizons(cfg: ExperimentConfig) -> list[Callable[[params.StageParams], int]]:
+    """One function of the stage per configured horizon; ValueError on an
+    empty list, a name that is not a horizon, or a horizon or cap below 1."""
+    if not cfg.horizons:
+        raise ValueError("horizons must not be empty")
     out = []
     for h in cfg.horizons:
-        if h == "1":
-            out.append(1)
-        elif h == "q":
-            out.append(min(stage.q, cfg.horizon_cap))
-        elif h == "q_next":
-            out.append(min(stage.q_next, cfg.horizon_cap))
-        elif h == "lq":
-            out.append(min(stage.l_prime * stage.q, cfg.horizon_cap))
-        else:
-            out.append(min(int(h), cfg.horizon_cap))
-    return sorted(set(out))
+        if h in _STAGE_HORIZONS:
+            out.append(_STAGE_HORIZONS[h])
+            continue
+        m = int(h)
+        if m < 1:
+            raise ValueError("horizons and horizon_cap must be >= 1")
+        out.append(lambda st, m=m: m)
+    if cfg.horizon_cap < 1:
+        raise ValueError("horizons and horizon_cap must be >= 1")
+    return out
+
+
+def _resolve_horizons(cfg: ExperimentConfig, stage: params.StageParams) -> list[int]:
+    return sorted({min(h(stage), cfg.horizon_cap) for h in _parse_horizons(cfg)})
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +188,11 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> int:
         for eps in cfg.eps_list:
             cx.check_grid(cfg.grid, eps)
         cx.check_samples(cfg.hamming_samples, max(cfg.eps_list))
-        numeric = [int(h) for h in cfg.horizons if h not in ("q", "q_next", "lq")]
-        if min(numeric + [cfg.horizon_cap]) < 1:
-            raise ValueError("horizons and horizon_cap must be >= 1")
+        _parse_horizons(cfg)
+        part = cx.GridPartition(cfg.hamming_partition, cfg.hamming_partition)
+        fams = [(fam, list(cfg.t_grid)) for fam in cfg.scale_families()]
+        if any(t <= 0 for t in cfg.t_grid):
+            raise scaling.ScaleDomainError(f"t_grid must be positive, got {list(cfg.t_grid)}")
     except ValueError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -189,7 +213,6 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> int:
 
     records: list[cx.CountRecord] = []
     summary: list[str] = []
-    part = cx.GridPartition(cfg.hamming_partition, cfg.hamming_partition)
     eps_h = max(cfg.eps_list)
     for st in measured:
         sys_n = built.system(st.n)
@@ -224,7 +247,6 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> int:
                 f"(s={sel.alphabet_size}, k={sel.k}, N={sel.n_words})"
             )
 
-    fams = [(fam, list(cfg.t_grid)) for fam in cfg.scale_families()]
     if len(records) >= 2:
         report = cx.slow_entropy_report(records, fams)
         reporting.write_with_header(
@@ -320,6 +342,9 @@ _NORM_NODES = {
 def cmd_norms(cfg: ExperimentConfig, node_kind: str, q: int, eps: float, k_max: int) -> int:
     if node_kind not in _NORM_NODES:
         print(f"unknown node kind {node_kind!r}; choose from {sorted(_NORM_NODES)}", file=sys.stderr)
+        return EXIT_VALIDATION
+    if cfg.grid < 1:
+        print(f"validation failure: grid must be >= 1, got {cfg.grid}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
         node = _NORM_NODES[node_kind](q, eps)

@@ -44,6 +44,8 @@ class GridError(ValueError):
 
 def check_grid(grid: int, eps: float) -> None:
     """Grid midpoints resolve Bowen radius eps only if eps > 2/grid."""
+    if grid < 1:
+        raise GridError(f"grid must be >= 1, got {grid}")
     if eps <= 2.0 / grid:
         raise GridError(f"grid {grid} too coarse for eps={eps}: need eps > 2/grid")
 
@@ -95,6 +97,10 @@ class GridPartition:
 
     nx: int
     ny: int = 1
+
+    def __post_init__(self):
+        if self.nx < 1 or self.ny < 1:
+            raise ValueError(f"partition needs nx, ny >= 1, got {self.nx} x {self.ny}")
 
     @property
     def n_cells(self) -> int:

@@ -272,36 +272,74 @@ class Rotation(MapNode):
         return out
 
 
-def _tile_x(
-    pts: Array,
-    q: int,
-    block: Callable[[Array, Array, bool], tuple[Array, Array]],
-    inverse: bool,
-) -> Array:
-    """Apply a map of the cell [0, 1/q) x [0,1] equivariantly on the torus.
-
-    ``block`` receives local coordinates (q*x mod 1, y) and must map the unit
-    square to itself.
-    """
-    x = mod1(np.asarray(pts[..., 0], dtype=float))
-    y = np.asarray(pts[..., 1], dtype=float)
-    scaled = x * q
-    cell = np.floor(scaled)
-    cell = np.minimum(cell, q - 1)  # guard against x*q == q from rounding
-    lx = scaled - cell
-    bx, by = block(lx, y, inverse)
-    out = np.empty(np.broadcast(x, y).shape + (2,), dtype=float)
-    out[..., 0] = mod1((cell + bx) / q)
-    out[..., 1] = mod1(by)
-    return out
-
-
 @dataclass(frozen=True)
-class QuasiRotTiled(MapNode):
-    """The square twist rescaled horizontally into q cells, equivariantly."""
+class _TiledTwist(MapNode):
+    """A twist kind: each 1/q cell is split into blocks, each carrying the
+    square twist rescaled onto the block, so the map commutes with R_{1/q}.
+
+    A kind states its split once, in ``_blocks``; evaluation and the
+    smoothness margin both read it.  Defines no ``kind``, so it does not
+    register.
+    """
 
     q: int
     eps: float
+
+    @property
+    def twist(self) -> SquareTwist:
+        return SquareTwist(self.eps)
+
+    def _blocks(self, lx: Array) -> list:
+        """Pieces (sel, X, back, stretch) of the cell coordinate lx in [0, 1):
+        ``lx[sel]`` are the points of one block, X their twist coordinate in
+        [0, 1], ``back`` maps the twist's x back to lx, and ``stretch`` is
+        dX/dx on the torus.  Points in no piece are fixed."""
+        raise NotImplementedError
+
+    def _seams(self, lx: Array):
+        """Torus distance from each lx to the nearest inner block edge."""
+        return np.inf
+
+    def _cell(self, pts: Array) -> tuple[Array, Array, Array]:
+        """(cell index, cell coordinate lx in [0, 1), y) of each point."""
+        x = mod1(np.asarray(pts[..., 0], dtype=float))
+        scaled = x * self.q
+        cell = np.minimum(np.floor(scaled), self.q - 1)  # x*q may round to q
+        return cell, scaled - cell, np.asarray(pts[..., 1], dtype=float)
+
+    def _eval(self, pts: Array, inverse: bool) -> Array:
+        cell, lx, y = self._cell(pts)
+        bx, by = lx.copy(), y.copy()
+        tw = self.twist
+        for sel, X, back, _ in self._blocks(lx):
+            res = tw.eval(np.stack([X, y[sel]], axis=-1), inverse=inverse)
+            bx[sel] = back(res[..., 0])
+            by[sel] = res[..., 1]
+        out = np.empty(lx.shape + (2,), dtype=float)
+        out[..., 0] = mod1((cell + bx) / self.q)
+        out[..., 1] = mod1(by)
+        return out
+
+    def forward(self, pts: Array) -> Array:
+        return self._eval(pts, False)
+
+    def inverse(self, pts: Array) -> Array:
+        return self._eval(pts, True)
+
+    def smoothness_margin(self, pts: Array) -> Array:
+        # a local margin shrinks by the block's stretch
+        _, lx, y = self._cell(pts)
+        out = np.full(lx.shape, np.inf)
+        tw = self.twist
+        for sel, X, _, stretch in self._blocks(lx):
+            out[sel] = tw.smoothness_margin(np.stack([X, y[sel]], axis=-1)) / stretch
+        return np.minimum(out, self._seams(lx))
+
+
+@dataclass(frozen=True)
+class QuasiRotTiled(_TiledTwist):
+    """The square twist rescaled horizontally into q cells, equivariantly."""
+
     kind = "quasi_rot_tiled"
 
     def __post_init__(self):
@@ -309,29 +347,8 @@ class QuasiRotTiled(MapNode):
             raise ConstructionError("q must be >= 1")
         SquareTwist(self.eps)  # validates eps
 
-    @property
-    def twist(self) -> SquareTwist:
-        return SquareTwist(self.eps)
-
-    def _block(self, lx: Array, y: Array, inverse: bool) -> tuple[Array, Array]:
-        loc = np.stack([lx, y], axis=-1)
-        res = self.twist.eval(loc, inverse=inverse)
-        return res[..., 0], res[..., 1]
-
-    def forward(self, pts: Array) -> Array:
-        return _tile_x(pts, self.q, self._block, False)
-
-    def inverse(self, pts: Array) -> Array:
-        return _tile_x(pts, self.q, self._block, True)
-
-    def smoothness_margin(self, pts: Array) -> Array:
-        x = mod1(np.asarray(pts[..., 0], dtype=float))
-        y = np.asarray(pts[..., 1], dtype=float)
-        scaled = x * self.q
-        cell = np.minimum(np.floor(scaled), self.q - 1)
-        loc = np.stack([scaled - cell, y], axis=-1)
-        # local margins shrink by the cell rescale in the worst direction
-        return self.twist.smoothness_margin(loc) / self.q
+    def _blocks(self, lx: Array) -> list:
+        return [(..., lx, lambda r: r, self.q)]
 
 
 def phi_q_eval(q: int, eps: float, p, inverse: bool = False) -> Array:
@@ -343,7 +360,7 @@ def phi_q_eval(q: int, eps: float, p, inverse: bool = False) -> Array:
 
 
 @dataclass(frozen=True)
-class UntwistedH(MapNode):
+class UntwistedH(_TiledTwist):
     """Two consecutive block twists per 1/q cell.
 
     On each cell, a wide block of width 1/q - 1/q^2 and a narrow block of
@@ -351,8 +368,6 @@ class UntwistedH(MapNode):
     onto itself and the map commutes with R_{1/q}.
     """
 
-    q: int
-    eps: float
     kind = "untwisted_h"
 
     def __post_init__(self):
@@ -360,62 +375,19 @@ class UntwistedH(MapNode):
             raise ConstructionError("untwisted stage needs q >= 4 (two-block split)")
         SquareTwist(self.eps)
 
-    @property
-    def twist(self) -> SquareTwist:
-        return SquareTwist(self.eps)
-
-    def _block(self, lx: Array, y: Array, inverse: bool) -> tuple[Array, Array]:
-        # local cell coordinates: lx in [0, 1), cell width 1/q in x
+    def _blocks(self, lx: Array) -> list:
         q = self.q
         w = 1.0 - 1.0 / q  # wide-block fraction of the cell
+        scale = q / (q - 1.0)
         big = lx < w
-        bx = np.empty_like(lx)
-        by = np.empty_like(y)
-        tw = self.twist
-        if np.any(big):
-            scale = q / (q - 1.0)
-            # wide block rescaled onto the unit square
-            loc = np.stack([lx[big] * scale, np.broadcast_to(y, lx.shape)[big]], axis=-1)
-            res = tw.eval(loc, inverse=inverse)
-            bx[big] = res[..., 0] / scale
-            by[big] = res[..., 1]
         small = ~big
-        if np.any(small):
-            X = (lx[small] - w) * q
-            loc = np.stack([X, np.broadcast_to(y, lx.shape)[small]], axis=-1)
-            res = tw.eval(loc, inverse=inverse)
-            bx[small] = w + res[..., 0] / q
-            by[small] = res[..., 1]
-        return bx, by
+        return [
+            (big, lx[big] * scale, lambda r: r / scale, q * scale),
+            (small, (lx[small] - w) * q, lambda r: w + r / q, q * q),
+        ]
 
-    def forward(self, pts: Array) -> Array:
-        return _tile_x(pts, self.q, self._block, False)
-
-    def inverse(self, pts: Array) -> Array:
-        return _tile_x(pts, self.q, self._block, True)
-
-    def smoothness_margin(self, pts: Array) -> Array:
-        q = self.q
-        x = mod1(np.asarray(pts[..., 0], dtype=float))
-        y = np.asarray(pts[..., 1], dtype=float)
-        scaled = x * q
-        cell = np.minimum(np.floor(scaled), q - 1)
-        lx = scaled - cell
-        w = 1.0 - 1.0 / q
-        tw = self.twist
-        big = lx < w
-        out = np.empty_like(lx)
-        if np.any(big):
-            X = lx[big] * q / (q - 1.0)
-            loc = np.stack([X, np.broadcast_to(y, lx.shape)[big]], axis=-1)
-            out[big] = tw.smoothness_margin(loc) * (q - 1.0) / (q * q)
-        if np.any(~big):
-            X = (lx[~big] - w) * q
-            loc = np.stack([X, np.broadcast_to(y, lx.shape)[~big]], axis=-1)
-            out[~big] = tw.smoothness_margin(loc) / (q * q)
-        # the block seam itself
-        out = np.minimum(out, np.abs(lx - w) / q)
-        return out
+    def _seams(self, lx: Array):
+        return np.abs(lx - (1.0 - 1.0 / self.q)) / self.q
 
     def describe(self, indent: int = 0) -> str:
         pad = " " * indent
@@ -572,10 +544,11 @@ class HorizontalStepShear(MapNode):
     """(x, y) -> (x + chi(y), y): strip i of height 1/a translates by b*i/a.
 
     chi is a smoothed staircase in y with a strips, plateau translation
-    (b/a) * (#completed ramps); the ramp offset j0 (the least multiple of
-    a/gcd... in practice of a/b-periodicity) makes the net translation near
-    y in {0, 1} vanish mod 1, so the map is the identity there.  Commutes
-    with every horizontal rotation.
+    (b/a) * (#completed ramps).  The ramps are centered at a*y = j0+1, ...,
+    a-j0, where j0 is the least multiple of a/b that is at least a*eps.
+    Every a/b ramps add a whole turn and a - 2*j0 is a multiple of a/b, so
+    the net translation near y in {0, 1} vanishes mod 1 and the map is the
+    identity there.  Commutes with every horizontal rotation.
     """
 
     a: int
@@ -639,7 +612,7 @@ class HorizontalStepShear(MapNode):
 
 
 @dataclass(frozen=True)
-class WordDrivenPhi(MapNode):
+class WordDrivenPhi(_TiledTwist):
     """Blockwise twists on [0, 1/q) driven by a symbol word of length 2*q^2.
 
     Block i (width 1/(2*q^3)) carries the identity for symbol 0 and a tiled
@@ -648,8 +621,6 @@ class WordDrivenPhi(MapNode):
     1/q-equivariantly.
     """
 
-    q: int
-    eps: float
     word: tuple[int, ...]
     cap_tiles: int = 64
     kind = "word_driven_phi"
@@ -673,67 +644,35 @@ class WordDrivenPhi(MapNode):
             return 0
         return min(self.q ** (symbol - 1), self.cap_tiles)
 
-    @property
-    def twist(self) -> SquareTwist:
-        return SquareTwist(self.eps)
-
-    def _block(self, lx: Array, y: Array, inverse: bool) -> tuple[Array, Array]:
-        # lx in [0,1) is the cell-local coordinate; blocks split it 2*q^2 ways
+    def _split(self, lx: Array) -> tuple[int, Array, Array]:
+        """(block count, block index, coordinate within the block) of lx."""
         nblocks = 2 * self.q * self.q
         scaled = lx * nblocks
         block = np.minimum(np.floor(scaled), nblocks - 1).astype(np.int64)
-        inner = scaled - block
-        word = np.asarray(self.word, dtype=np.int64)
-        sym = word[block]
-        bx = lx.copy()
-        by = np.array(np.broadcast_to(y, lx.shape), dtype=float, copy=True)
-        tw = self.twist
+        return nblocks, block, scaled - block
+
+    def _blocks(self, lx: Array) -> list:
+        # a block of symbol j holds tiles_for(j) twists side by side
+        nblocks, block, inner = self._split(lx)
+        sym = np.asarray(self.word, dtype=np.int64)[block]
+        pieces = []
         for j in np.unique(sym):
-            if j == 0:
+            tiles = self.tiles_for(int(j))
+            if tiles == 0:
                 continue
             sel = sym == j
-            tiles = self.tiles_for(int(j))
             z = inner[sel] * tiles
             tile = np.minimum(np.floor(z), tiles - 1)
-            loc = np.stack([z - tile, by[sel]], axis=-1)
-            res = tw.eval(loc, inverse=inverse)
-            inner_new = (tile + res[..., 0]) / tiles
-            bx[sel] = (block[sel] + inner_new) / nblocks
-            by[sel] = res[..., 1]
-        return bx, by
 
-    def forward(self, pts: Array) -> Array:
-        return _tile_x(pts, self.q, self._block, False)
+            def back(r, b=block[sel], tile=tile, tiles=tiles):
+                return (b + (tile + r) / tiles) / nblocks
 
-    def inverse(self, pts: Array) -> Array:
-        return _tile_x(pts, self.q, self._block, True)
+            pieces.append((sel, z - tile, back, self.q * nblocks * tiles))
+        return pieces
 
-    def smoothness_margin(self, pts: Array) -> Array:
-        nblocks = 2 * self.q * self.q
-        x = mod1(np.asarray(pts[..., 0], dtype=float))
-        y = np.asarray(pts[..., 1], dtype=float)
-        frac = x * self.q
-        lx = frac - np.floor(frac)
-        scaled = lx * nblocks
-        block = np.minimum(np.floor(scaled), nblocks - 1).astype(np.int64)
-        inner = scaled - block
-        word = np.asarray(self.word, dtype=np.int64)
-        sym = word[block]
-        out = np.full(lx.shape, np.inf)
-        tw = self.twist
-        for j in np.unique(sym):
-            sel = sym == j
-            if j == 0:
-                continue
-            tiles = self.tiles_for(int(j))
-            stretch = self.q * nblocks * tiles
-            z = inner[sel] * tiles
-            tile = np.minimum(np.floor(z), tiles - 1)
-            loc = np.stack([z - tile, y[sel] if y.shape == lx.shape else np.broadcast_to(y, lx.shape)[sel]], axis=-1)
-            out[sel] = tw.smoothness_margin(loc) / stretch
-        # block seams
-        seam = np.minimum(inner, 1.0 - inner) / (self.q * nblocks)
-        return np.minimum(out, seam)
+    def _seams(self, lx: Array):
+        nblocks, _, inner = self._split(lx)
+        return np.minimum(inner, 1.0 - inner) / (self.q * nblocks)
 
     def describe(self, indent: int = 0) -> str:
         pad = " " * indent

@@ -31,6 +31,8 @@ class NormEstimate:
 
 
 def _grid_points(g: int) -> Array:
+    if g < 1:
+        raise ValueError(f"grid must be >= 1, got {g}")
     # grids sharing a factor with a map's cell count sample only g/q distinct
     # local positions; callers should prefer sizes coprime to the cell counts
     xs = (np.arange(g) + 0.5) / g

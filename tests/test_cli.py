@@ -230,6 +230,15 @@ def test_norms_order_above_two_exit_code(tmp_path, monkeypatch):
     assert exc.value.code == cli.EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("grid", [0, -4])
+def test_norms_empty_grid_exit_code(tmp_path, capsys, grid):
+    # an empty grid used to write estimate 0.0 with excluded_fraction nan
+    cfg_path, outdir = write_config(tmp_path)
+    assert cli.main(["norms", "--config", str(cfg_path), "--grid", str(grid)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("validation failure: grid must be >= 1")
+    assert not outdir.exists()
+
+
 def test_norms_subcommand(tmp_path):
     cfg_path, outdir = write_config(tmp_path, grid=31)
     rc = cli.main(
@@ -261,6 +270,20 @@ def test_unknown_config_field_exit_code(tmp_path, capsys):
     path.write_text(json.dumps({"bogus": 1}))
     assert cli.main(["params", "--config", str(path)]) == cli.EXIT_VALIDATION
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("[1, 2]", "must hold a JSON object"), ("{", "cannot read config"), (None, "cannot read config")],
+    ids=["not-an-object", "malformed", "missing"],
+)
+def test_unreadable_config_exit_code(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.json"
+    if text is not None:
+        path.write_text(text)
+    assert cli.main(["params", "--config", str(path)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation failure: ") and message in err
 
 
 def test_params_chain_error_exit(tmp_path, capsys):
@@ -296,6 +319,26 @@ def test_run_horizon_below_one_exits_before_building(tmp_path, forbid_build, cap
     cfg_path, _ = write_config(tmp_path, **override)
     assert cli.main(["run", "--config", str(cfg_path)]) == cli.EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("validation failure: horizons")
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"grid": 0}, "grid must be >= 1"),
+        ({"grid": -4}, "grid must be >= 1"),
+        ({"hamming_partition": 0}, "partition needs nx, ny >= 1"),
+        ({"horizons": []}, "horizons must not be empty"),
+        ({"families": [["int1", 2, 2]]}, "intermediate scales require r >= 4"),
+        ({"t_grid": [0]}, "t_grid must be positive"),
+    ],
+    ids=["grid-zero", "grid-negative", "partition-zero", "no-horizons", "family-r2", "t-zero"],
+)
+def test_run_out_of_range_exits_before_building(tmp_path, forbid_build, capsys, override, message):
+    cfg_path, outdir = write_config(tmp_path, **override)
+    assert cli.main(["run", "--config", str(cfg_path)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation failure: ") and message in err
+    assert not outdir.exists()
 
 
 def test_run_budget_estimate_two_stages(tmp_path, capsys):

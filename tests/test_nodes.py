@@ -71,14 +71,19 @@ NODE_STRATEGIES = {
     ).filter(lambda n: isinstance(n, df.Composite)),
 }
 
+# the kinds that split each 1/q cell into rescaled square twists
+TWIST_KINDS = sorted(
+    kind
+    for kind, cls in df.NODE_KINDS.items()
+    if issubclass(cls, df._TiledTwist) and cls.__module__ == df.__name__
+)
+
 # the horizontal shifts each kind commutes with, given the node
 COMMUTING_SHIFTS = {
     "rotation": lambda node: hst.floats(min_value=0.0, max_value=1.0),
     "horizontal_step_shear": lambda node: hst.floats(min_value=0.0, max_value=1.0),
-    "quasi_rot_tiled": lambda node: hst.just(1.0 / node.q),
-    "untwisted_h": lambda node: hst.just(1.0 / node.q),
     "vertical_step_shear": lambda node: hst.just(1.0 / node.q),
-    "word_driven_phi": lambda node: hst.just(1.0 / node.q),
+    **{kind: lambda node: hst.just(1.0 / node.q) for kind in TWIST_KINDS},
 }
 
 prop = settings(max_examples=25, deadline=None)
@@ -142,6 +147,53 @@ def test_leaf_jacobian_is_one(kind, data, seed):
     # each taken in that node's own input coordinates
     res = df.jacobian_mc(data.draw(LEAVES[kind]), 2000, 1e-6, seed=seed)
     assert res["max"] < 1e-5, res
+
+
+def twist_squares(node):
+    """(left edge, width) of each square twist copy in the 1/q cell's
+    coordinate, as each kind's docstring states its split."""
+    if isinstance(node, df.UntwistedH):
+        w = 1.0 - 1.0 / node.q
+        return [(0.0, w), (w, 1.0 / node.q)]
+    if isinstance(node, df.WordDrivenPhi):
+        nb = len(node.word)
+        return [
+            ((i + k / tiles) / nb, 1.0 / (nb * tiles))
+            for i, sym in enumerate(node.word)
+            for tiles in [node.tiles_for(sym)]
+            for k in range(tiles)
+        ]
+    return [(0.0, 1.0)]
+
+
+def inner_block_edges(node):
+    if isinstance(node, df.UntwistedH):
+        return [1.0 - 1.0 / node.q]
+    if isinstance(node, df.WordDrivenPhi):
+        return [i / len(node.word) for i in range(1, len(node.word))]
+    return []
+
+
+@pytest.mark.parametrize("kind", TWIST_KINDS)
+@prop
+@given(data=hst.data(), seed=hst.integers(0, 2**32))
+def test_margin_vanishes_on_block_edges_and_zone_squares(kind, data, seed):
+    node = data.draw(NODE_STRATEGIES[kind])
+    rng = np.random.Generator(np.random.Philox(seed))
+    lx, y = [], []
+    for left, width in twist_squares(node):
+        for r in (node.twist.r_rotate, node.twist.r_identity):
+            t = 0.5 + rng.uniform(-r, r, 4)
+            for X, Y in ((0.5 + r, t), (0.5 - r, t), (t, 0.5 + r), (t, 0.5 - r)):
+                lx.append(left + width * np.broadcast_to(X, t.shape))
+                y.append(np.broadcast_to(Y, t.shape))
+    for edge in inner_block_edges(node):
+        lx.append(np.full(4, edge))
+        y.append(rng.random(4))
+    lx = np.concatenate(lx)
+    cell = rng.integers(0, node.q, lx.size)
+    pts = np.stack([(cell + lx) / node.q, np.concatenate(y)], axis=-1)
+    assert np.max(node.smoothness_margin(pts)) <= 1e-12
 
 
 def test_word_symbols_beyond_base36_rejected():
