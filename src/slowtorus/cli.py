@@ -202,6 +202,18 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> int:
     outdir = Path(cfg.outdir)
     measured = [st for st in built.chain if cfg.n_min <= st.n <= cfg.n_max]
     horizons = {st.n: _resolve_horizons(cfg, st) for st in measured}
+    # the report normalizes every count at a horizon >= 2 by each family
+    try:
+        for m in sorted({m for hs in horizons.values() for m in hs if m >= 2}):
+            for fam, ts in fams:
+                for t in ts:
+                    scaling.eval_log(fam, m, t)
+    except scaling.ScaleDomainError as exc:
+        print(
+            f"validation failure: scale family {fam.label()} at horizon {m}: {exc}",
+            file=sys.stderr,
+        )
+        return EXIT_VALIDATION
     est = _budget_estimate(cfg, [max(h) for h in horizons.values()])
     if est > cfg.max_orbit_evals and not force:
         print(
@@ -276,21 +288,31 @@ def cmd_plotdata(report_files: Sequence[str], outdir: str) -> int:
     manifest = []
     for path_str in report_files:
         path = Path(path_str)
-        lines = [
-            ln for ln in path.read_text().splitlines() if ln and not ln.startswith("#")
-        ]
+        try:
+            text = path.read_text()
+        except OSError as exc:
+            print(f"validation failure: cannot read report {path}: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
+        lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
         if not lines:
             continue
         header = lines[0].split(",")
         required = {"stage", "horizon", "family", "t", "log_ratio", "count_kind"}
         if not required.issubset(header):
             missing = sorted(required - set(header))
-            print(f"{path}: missing columns {missing}", file=sys.stderr)
+            print(f"validation failure: {path}: missing columns {missing}", file=sys.stderr)
             return EXIT_VALIDATION
         idx = {name: header.index(name) for name in header}
         curves: dict = {}
         for ln in lines[1:]:
             cells = ln.split(",")
+            if len(cells) < len(header):
+                print(
+                    f"validation failure: {path}: row {ln!r} has {len(cells)} of "
+                    f"{len(header)} columns",
+                    file=sys.stderr,
+                )
+                return EXIT_VALIDATION
             key = (cells[idx["family"]], cells[idx["t"]], cells[idx["count_kind"]])
             curves.setdefault(key, []).append(
                 (cells[idx["horizon"]], cells[idx["log_ratio"]])
@@ -333,7 +355,7 @@ def cmd_words(cfg: ExperimentConfig, s: int, k: int, n_words: int, eps: float) -
 
 
 _NORM_NODES = {
-    "rotation": lambda q, eps: diffeo.Rotation(Fraction(1, max(q, 1))),
+    "rotation": lambda q, eps: diffeo.Rotation(Fraction(1, q)),
     "quasi_rot": lambda q, eps: diffeo.QuasiRotTiled(q=q, eps=eps),
     "untwisted": lambda q, eps: diffeo.UntwistedH(q=q, eps=eps),
 }
@@ -345,6 +367,9 @@ def cmd_norms(cfg: ExperimentConfig, node_kind: str, q: int, eps: float, k_max: 
         return EXIT_VALIDATION
     if cfg.grid < 1:
         print(f"validation failure: grid must be >= 1, got {cfg.grid}", file=sys.stderr)
+        return EXIT_VALIDATION
+    if q < 1:
+        print(f"validation failure: q must be >= 1, got {q}", file=sys.stderr)
         return EXIT_VALIDATION
     try:
         node = _NORM_NODES[node_kind](q, eps)

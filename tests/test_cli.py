@@ -167,6 +167,27 @@ def test_plotdata_missing_columns(tmp_path, capsys):
     assert "missing columns" in err
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (None, "cannot read report"),
+        (
+            "stage,horizon,eps,count_kind,count,family,t,log_ratio\n2,8,0.125\n",
+            "has 3 of 8 columns",
+        ),
+    ],
+    ids=["missing-file", "short-row"],
+)
+def test_plotdata_unreadable_report_exit_code(tmp_path, capsys, body, message):
+    src = tmp_path / "counts.csv"
+    if body is not None:
+        src.write_text(body)
+    rc = cli.main(["plotdata", str(src), "--outdir", str(tmp_path / "p")])
+    assert rc == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation failure: ") and message in err
+
+
 def test_words_subcommand(tmp_path):
     cfg_path, outdir = write_config(tmp_path)
     rc = cli.main(
@@ -236,6 +257,21 @@ def test_norms_empty_grid_exit_code(tmp_path, capsys, grid):
     cfg_path, outdir = write_config(tmp_path)
     assert cli.main(["norms", "--config", str(cfg_path), "--grid", str(grid)]) == cli.EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("validation failure: grid must be >= 1")
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("node", sorted(cli._NORM_NODES))
+@pytest.mark.parametrize("q", [0, -3])
+def test_norms_q_below_one_exit_code(tmp_path, capsys, monkeypatch, node, q):
+    # rotation must not fall back to Rotation(1) and write rows labelled q=-3
+    def no_build(*a, **k):
+        raise AssertionError("node built for an invalid q")
+
+    monkeypatch.setitem(cli._NORM_NODES, node, no_build)
+    cfg_path, outdir = write_config(tmp_path)
+    rc = cli.main(["norms", "--config", str(cfg_path), "--node", node, "--q", str(q)])
+    assert rc == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("validation failure: q must be >= 1")
     assert not outdir.exists()
 
 
@@ -385,3 +421,21 @@ def test_run_caps_q_horizon(tmp_path):
     lines = [ln.split(",") for ln in text.splitlines() if not ln.startswith("#")][1:]
     assert {int(st) for st, *_ in lines} == {2, 3}
     assert max(int(h) for _st, _q, h, *_ in lines) == 256
+
+
+def test_run_scale_family_out_of_domain_exits_before_measuring(tmp_path, capsys, monkeypatch):
+    # int1 with q1 = 1000 needs horizons of at least 1000, which the cap of
+    # 64 rules out; the horizons are known only once the chain is built
+    from slowtorus import complexity as cx
+
+    def no_measure(*a, **k):
+        raise AssertionError("stages measured for scale families that cannot be evaluated")
+
+    monkeypatch.setattr(cx, "bowen_counts", no_measure)
+    cfg_path, outdir = write_config(
+        tmp_path, families=[["int1", 4, 1000]], n_max=3, horizon_cap=64
+    )
+    assert cli.main(["run", "--config", str(cfg_path)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation failure: scale family int1-r4-q1000 at horizon")
+    assert not outdir.exists()

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import slowtorus.diffeo as df
+from slowtorus.experiments import UNTWISTED_DESK, build_systems, wm_desk_profile
 
 twist_eps = hst.floats(min_value=0.02, max_value=0.24)
 
@@ -139,14 +140,52 @@ def test_commutes_with_horizontal_rotation(kind, data, seed):
     assert tdist(node.forward(moved), want) <= 1e-10
 
 
+def inverse_det_error(node, pts, h):
+    """|det D(node^-1) - 1| by central differences at the kept points."""
+    vals, keep = df.stencil(node, pts, df.stencil_offsets(h, 1), inverse=True)
+    dx0, dy0, dx1, dy1 = df.central_partials(vals[:, keep], h)
+    return np.abs(dx0 * dy1 - dy0 * dx1 - 1.0), keep
+
+
 @pytest.mark.parametrize("kind", sorted(LEAVES))
 @prop
 @given(data=hst.data(), seed=hst.integers(0, 2**32))
 def test_leaf_jacobian_is_one(kind, data, seed):
-    # a Composite is left out: its margin is the least of its nodes' margins,
-    # each taken in that node's own input coordinates
     res = df.jacobian_mc(data.draw(LEAVES[kind]), 2000, 1e-6, seed=seed)
     assert res["max"] < 1e-5, res
+
+
+@pytest.mark.parametrize("kind", sorted(LEAVES))
+@prop
+@given(data=hst.data(), seed=hst.integers(0, 2**32))
+def test_leaf_inverse_jacobian_is_one(kind, data, seed):
+    # each leaf judges the inverse's stencil by its margin at the inverse
+    # image of the centre
+    err, _ = inverse_det_error(data.draw(LEAVES[kind]), points(seed), 1e-6)
+    assert np.max(err, initial=0.0) < 1e-5
+
+
+# Composites join the Jacobian check as the built stage stacks.  A random
+# stack at a fixed step does not: its error after exclusion is truncation,
+# which falls as h^2, and reaches 3.2e-5 at h = 1e-6 for
+# Composite(QuasiRotTiled(q=1, eps=0.125), QuasiRotTiled(q=3, eps=0.125)).
+@pytest.mark.parametrize(
+    "construction, profile, n, h",
+    [
+        ("weak_mixing", wm_desk_profile(8), 2, 1e-6),
+        ("weak_mixing", wm_desk_profile(16), 2, 1e-6),
+        ("weak_mixing", wm_desk_profile(32), 2, 1e-8),
+        ("untwisted", UNTWISTED_DESK, 2, 1e-6),
+        ("untwisted", UNTWISTED_DESK, 3, 1e-6),
+    ],
+    ids=["wm-q8", "wm-q16", "wm-q32", "untwisted-2", "untwisted-3"],
+)
+def test_stage_stack_jacobian_is_one(construction, profile, n, h):
+    H = build_systems(construction, profile, n, seed=101).system(n).H
+    res = df.jacobian_mc(H, 2000, h, seed=0)
+    assert res["max"] < 1e-5 and res["n_used"] >= 100, res
+    err, keep = inverse_det_error(H, points(0), h)
+    assert np.max(err) < 1e-5 and keep.sum() >= 100
 
 
 def twist_squares(node):

@@ -73,8 +73,6 @@ def test_dk_symmetry_and_triangle():
 class _Conj(df.MapNode):
     """h o R_alpha o h^{-1} as an evaluable node (test helper)."""
 
-    kind = "conjugation"
-
     def __init__(self, h, alpha):
         self.h = h
         self.rot = df.Rotation(alpha)
