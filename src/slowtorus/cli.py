@@ -9,13 +9,12 @@ file echoes the config hash.  Exit codes: 0 success, 2 validation failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 from . import complexity as cx
 from . import diffeo, normest, params, reporting, scaling, words
@@ -29,8 +28,8 @@ EXIT_CONSTRUCTION = 4
 
 
 class ConfigError(ValueError):
-    """A config file cannot be read, holds no JSON object, or names fields
-    ExperimentConfig does not have."""
+    """A config file cannot be read, holds no JSON object, names fields
+    ExperimentConfig does not have, or holds a value of the wrong type."""
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,7 @@ class ExperimentConfig:
     n_min: int = 2
     n_max: int = 2
     grid: int = 32
-    horizons: tuple[str, ...] = ("1", "q", "q_next")
+    horizons: tuple[Union[str, int], ...] = ("1", "q", "q_next")
     eps_list: tuple[float, ...] = (0.125,)
     families: tuple[tuple[str, int, int], ...] = (("int1", 4, 2), ("pol", 0, 0))
     t_grid: tuple[float, ...] = (0.5, 1.0)
@@ -97,11 +96,33 @@ def load_config(path: Optional[str], overrides: dict) -> ExperimentConfig:
     for key in ("kl_schedule", "horizons", "eps_list", "families", "t_grid"):
         if key in data and isinstance(data[key], list):
             data[key] = tuple(tuple(v) if isinstance(v, list) else v for v in data[key])
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(data) - known
+    types = get_type_hints(ExperimentConfig)
+    unknown = set(data) - set(types)
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    for key, value in data.items():
+        tp = types[key]
+        if not _has_type(value, tp):
+            want = tp.__name__ if isinstance(tp, type) else str(tp).replace("typing.", "")
+            raise ConfigError(f"config field {key} must be {want}, got {value!r}")
     return ExperimentConfig(**data)
+
+
+def _has_type(value, tp) -> bool:
+    """Whether a loaded value already is of the annotated type tp; an int
+    stands for a float, a bool for neither."""
+    args = get_args(tp)
+    if get_origin(tp) is Union:
+        return any(_has_type(value, t) for t in args)
+    if get_origin(tp) is tuple:
+        if not isinstance(value, tuple):
+            return False
+        if args[-1] is Ellipsis:  # tuple[T, ...]
+            args = args[:1] * len(value)
+        return len(value) == len(args) and all(map(_has_type, value, args))
+    if isinstance(value, bool):
+        return tp is bool
+    return isinstance(value, (int, float) if tp is float else tp)
 
 
 # horizons named by the stage they are read from
@@ -283,8 +304,8 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> int:
 
 
 def cmd_plotdata(report_files: Sequence[str], outdir: str) -> int:
-    out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
+    # every report is read and every file name checked before anything is written
+    files: dict = {}  # curve file name -> body
     manifest = []
     for path_str in report_files:
         path = Path(path_str)
@@ -320,9 +341,15 @@ def cmd_plotdata(report_files: Sequence[str], outdir: str) -> int:
         for (fam, t, kind), rows in sorted(curves.items()):
             safe_fam = fam.replace(",", "_").replace("=", "")
             name = f"curve_{path.stem}_{safe_fam}_t{t}_{kind}.dat"
-            body = "\n".join(f"{m} {v}" for m, v in rows)
-            (out / name).write_text(body + "\n", newline="\n")
+            if name in files:
+                print(f"validation failure: {path}: {name} is written twice", file=sys.stderr)
+                return EXIT_VALIDATION
+            files[name] = "\n".join(f"{m} {v}" for m, v in rows) + "\n"
             manifest.append({"file": name, "source": str(path), "family": fam, "t": t, "kind": kind})
+    out = Path(outdir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, body in files.items():
+        (out / name).write_text(body, newline="\n")
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", newline="\n"
     )

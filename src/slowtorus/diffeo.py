@@ -151,14 +151,10 @@ class SquareTwist:
         out = pts.copy()
 
         rotate = rho <= self.r_rotate
-        if inverse:
-            # clockwise: (u, v) -> (v, -u)
-            out[..., 0] = np.where(rotate, y, out[..., 0])
-            out[..., 1] = np.where(rotate, 1.0 - x, out[..., 1])
-        else:
-            # counterclockwise: (u, v) -> (-v, u)
-            out[..., 0] = np.where(rotate, 1.0 - y, out[..., 0])
-            out[..., 1] = np.where(rotate, x, out[..., 1])
+        # clockwise (u, v) -> (v, -u) or counterclockwise (u, v) -> (-v, u)
+        turned = (y, 1.0 - x) if inverse else (1.0 - y, x)
+        out[..., 0] = np.where(rotate, turned[0], out[..., 0])
+        out[..., 1] = np.where(rotate, turned[1], out[..., 1])
 
         mid = (~rotate) & (rho < self.r_identity)
         if np.any(mid):
@@ -229,14 +225,15 @@ class MapNode:
         if "kind" in cls.__dict__:
             NODE_KINDS[cls.kind] = cls
 
-    def forward(self, pts: Array) -> Array:
+    def apply(self, pts: Array, inverse: bool = False) -> Array:
+        """The map, or its inverse, at pts: the one body a node kind writes."""
         raise NotImplementedError
+
+    def forward(self, pts: Array) -> Array:
+        return self.apply(pts, False)
 
     def inverse(self, pts: Array) -> Array:
-        raise NotImplementedError
-
-    def apply(self, pts: Array, inverse: bool = False) -> Array:
-        return self.inverse(pts) if inverse else self.forward(pts)
+        return self.apply(pts, True)
 
     def smoothness_margin(self, pts: Array) -> Array:
         return np.full(np.asarray(pts).shape[:-1], np.inf)
@@ -261,14 +258,10 @@ class Rotation(MapNode):
     alpha: Fraction = Fraction(0)
     kind = "rotation"
 
-    def forward(self, pts: Array) -> Array:
+    def apply(self, pts: Array, inverse: bool = False) -> Array:
+        shift = float(self.alpha % 1)
         out = np.array(pts, dtype=float, copy=True)
-        out[..., 0] = mod1(out[..., 0] + float(self.alpha % 1))
-        return out
-
-    def inverse(self, pts: Array) -> Array:
-        out = np.array(pts, dtype=float, copy=True)
-        out[..., 0] = mod1(out[..., 0] - float(self.alpha % 1))
+        out[..., 0] = mod1(out[..., 0] + (-shift if inverse else shift))
         return out
 
 
@@ -277,7 +270,7 @@ class _TiledTwist(MapNode):
     """A twist kind: each 1/q cell is split into blocks, each carrying the
     square twist rescaled onto the block, so the map commutes with R_{1/q}.
 
-    A kind states its split once, in ``_blocks``; evaluation and the
+    A kind states its split once, in ``_blocks``; ``apply`` and the
     smoothness margin both read it.  Defines no ``kind``, so it does not
     register.
     """
@@ -307,7 +300,7 @@ class _TiledTwist(MapNode):
         cell = np.minimum(np.floor(scaled), self.q - 1)  # x*q may round to q
         return cell, scaled - cell, np.asarray(pts[..., 1], dtype=float)
 
-    def _eval(self, pts: Array, inverse: bool) -> Array:
+    def apply(self, pts: Array, inverse: bool = False) -> Array:
         cell, lx, y = self._cell(pts)
         bx, by = lx.copy(), y.copy()
         tw = self.twist
@@ -319,12 +312,6 @@ class _TiledTwist(MapNode):
         out[..., 0] = mod1((cell + bx) / self.q)
         out[..., 1] = mod1(by)
         return out
-
-    def forward(self, pts: Array) -> Array:
-        return self._eval(pts, False)
-
-    def inverse(self, pts: Array) -> Array:
-        return self._eval(pts, True)
 
     def smoothness_margin(self, pts: Array) -> Array:
         # a local margin shrinks by the block's stretch
@@ -399,41 +386,41 @@ class UntwistedH(_TiledTwist):
         )
 
 
-def _staircase_profile(z: Array, centers: Array, signs: Array, width: float) -> Array:
-    """Sum of +-ramps at the given centers, each of half-width ``width``.
+def _ramps(z: Array, first, spacing, n: int, width: float) -> tuple[Array, Array, Array]:
+    """n unit ramps of half-width ``width`` centred at first, first +
+    spacing, ... (spacing > 2*width), in closed form: the ramps completed at
+    each z (exact for an integer spacing), the mask of z inside a ramp, and
+    that ramp's value in [0, 1]."""
+    done = np.clip(np.floor((z - width - first) / spacing) + 1, 0, n)
+    c = first + np.minimum(done, n - 1) * spacing
+    active = (np.abs(z - c) < width) & (done < n)
+    return done, active, ramp((z - c) / width)
 
-    Closed form: ramps are disjoint (centers at least 2*width apart), so at
-    most one is partially active at any z; the rest contribute 0 or 1.
-    """
-    z = np.asarray(z, dtype=float)
-    total = np.zeros_like(z)
-    if len(centers) == 0:  # a single plateau (eps > 1/6 in the step shear)
-        return total
-    # completed ramps: center <= z - width
-    idx = np.searchsorted(centers, z - width, side="right")
-    csum = np.concatenate([[0.0], np.cumsum(signs)])
-    total += csum[idx]
-    # at most one active ramp: the first center > z - width
-    nearest = np.clip(idx, 0, len(centers) - 1)
-    c = centers[nearest]
-    active = np.abs(z - c) < width
-    total = np.where(
-        active & (idx < len(centers)),
-        total + signs[nearest] * ramp((z - c) / width),
-        total,
-    )
-    return total
+
+class _StepShear(MapNode):
+    """A shear: slides coordinate ``axis`` by ``offset`` of the other one, a
+    smoothed staircase that a kind defines through ``_ramps``.  Defines no
+    ``kind``, so it does not register."""
+
+    axis = 0
+
+    def apply(self, pts: Array, inverse: bool = False) -> Array:
+        out = np.array(pts, dtype=float, copy=True)
+        d = self.offset(out[..., 1 - self.axis])
+        out[..., self.axis] = mod1(out[..., self.axis] + (-d if inverse else d))
+        return out
 
 
 @dataclass(frozen=True)
-class VerticalStepShear(MapNode):
+class VerticalStepShear(_StepShear):
     """(x, y) -> (x, y + psi(x)) with psi a smoothed up-down staircase.
 
     psi has period 1/q.  Within a period, rescaled by q^2, it descends in
     steps of height 3*eps on plateaus of length s for s = 1..s1 consecutive
     staircases, and is zero outside; i1 positions the first staircase.  The
     plateau count per staircase is a = 2*floor(1/(3*eps)) - 1 and the ramps
-    between plateaus have half-width eps.
+    between plateaus have half-width eps.  The layout is stated once, in
+    ``plateaus``, ``staircases`` and ``_room``.
     """
 
     q: int
@@ -441,106 +428,96 @@ class VerticalStepShear(MapNode):
     i1: int
     s1: int
     kind = "vertical_step_shear"
+    axis = 1
 
     def __post_init__(self):
         if not (0.0 < self.eps < 1.0 / 3.0):
             raise ConstructionError("step shear needs eps in (0, 1/3)")
         if self.s1 < 1:
             raise ConstructionError("s1 must be >= 1")
-        lo = math.ceil(2.0 * self.eps * self.q)
+        lo, hi = self._room(self.q, self.eps)
         if self.i1 < lo:
             raise ConstructionError(
                 f"placement violates i1 >= ceil(2*eps*q) = {lo} (got i1={self.i1})"
             )
-        a = self.plateaus
-        end = self.i1 + a * self.s1 * (self.s1 + 1) // 2
-        hi = self.q - lo
+        end = self.staircases[-1][2]
         if end > hi:
             raise ConstructionError(
                 f"placement violates i1 + a*s1*(s1+1)/2 <= q - ceil(2*eps*q) "
-                f"= {hi} (got {end})"
+                f"= {hi} (got {end} at q={self.q}, eps={self.eps})"
             )
+
+    @staticmethod
+    def _room(q: int, eps: float) -> tuple[int, int]:
+        # the staircases lie within [ceil(2*eps*q), q - ceil(2*eps*q)]
+        lo = math.ceil(2.0 * eps * q)
+        return lo, q - lo
+
+    @classmethod
+    def widest(cls, q: int, eps: float) -> VerticalStepShear:
+        """The shear from the lowest i1 with the most staircases that fit."""
+        shear = cls(q=q, eps=eps, i1=cls._room(q, eps)[0], s1=1)
+        try:
+            while True:
+                shear = dataclasses.replace(shear, s1=shear.s1 + 1)
+        except ConstructionError:
+            return shear
 
     @property
     def plateaus(self) -> int:
         return 2 * math.floor(1.0 / (3.0 * self.eps)) - 1
 
-    def _psi_scaled(self, xi: Array) -> Array:
-        """psi on the rescaled coordinate xi = q^2 * (x mod 1/q), xi in [0, q)."""
-        a = self.plateaus
-        b = math.floor(1.0 / (3.0 * self.eps))
-        xi = np.asarray(xi, dtype=float)
-        out = np.zeros_like(xi)
-        start = float(self.i1)
-        for s in range(1, self.s1 + 1):
-            end = start + a * s
-            inside = (xi >= start) & (xi < end)
-            if np.any(inside):
-                zeta = xi[inside] - start
-                centers = np.array([i * s for i in range(1, a)], dtype=float)
-                signs = np.array(
-                    [-1.0 if i <= b - 1 else 1.0 for i in range(1, a)], dtype=float
-                )
-                out[inside] = 3.0 * self.eps * _staircase_profile(
-                    zeta, centers, signs, self.eps
-                )
-            start = end
-        return out
+    @property
+    def staircases(self) -> list[tuple[int, int, int]]:
+        """(s, start, end) of each staircase in the rescaled coordinate."""
+        a, i1 = self.plateaus, self.i1
+        return [(s, i1 + a * s * (s - 1) // 2, i1 + a * s * (s + 1) // 2)
+                for s in range(1, self.s1 + 1)]
+
+    def _rescaled(self, x: Array) -> Array:
+        """xi = q^2 * (x mod 1/q), in [0, q)."""
+        frac = mod1(np.asarray(x, dtype=float)) * self.q
+        return (frac - np.floor(frac)) * self.q
 
     def psi(self, x: Array) -> Array:
-        x = mod1(np.asarray(x, dtype=float))
-        frac = x * self.q
-        frac = frac - np.floor(frac)
-        return self._psi_scaled(frac * self.q)
-
-    def forward(self, pts: Array) -> Array:
-        out = np.array(pts, dtype=float, copy=True)
-        out[..., 1] = mod1(out[..., 1] + self.psi(out[..., 0]))
+        # a staircase's first (a-1)/2 ramps step down, the rest back up:
+        # the net of the completed ones is an exact integer
+        xi = self._rescaled(x)
+        out = np.zeros_like(xi)
+        down = (self.plateaus - 1) // 2
+        for s, start, end in self.staircases:
+            inside = (xi >= start) & (xi < end)
+            done, active, r = _ramps(xi[inside] - start, s, s, self.plateaus - 1, self.eps)
+            net = np.abs(done - down) - down
+            step = net + np.where(done < down, -r, r)
+            out[inside] = 3.0 * self.eps * np.where(active, step, net)
         return out
 
-    def inverse(self, pts: Array) -> Array:
-        out = np.array(pts, dtype=float, copy=True)
-        out[..., 1] = mod1(out[..., 1] - self.psi(out[..., 0]))
-        return out
+    offset = psi
 
     def smoothness_margin(self, pts: Array) -> Array:
-        # knots sit at plateau/ramp junctions: multiples of eps shifts around
-        # centers; a cheap conservative bound is the distance to the nearest
-        # ramp edge in the rescaled coordinate, divided by q^2.
-        x = mod1(np.asarray(pts[..., 0], dtype=float))
-        frac = x * self.q
-        frac = frac - np.floor(frac)
-        xi = frac * self.q
-        a = self.plateaus
-        margins = np.full(xi.shape, np.inf)
-        start = float(self.i1)
-        for s in range(1, self.s1 + 1):
-            end = start + a * s
-            for i in range(0, a + 1):
-                c = start + i * s
-                for edge in (c - self.eps, c + self.eps):
-                    margins = np.minimum(margins, np.abs(xi - edge))
-            start = end
-        return margins / (self.q * self.q)
+        # distance to the nearest ramp edge c +- eps, c = start + i*s for
+        # i = 0..a (both ends of every staircase count), divided by q^2
+        xi = self._rescaled(pts[..., 0])
+        out = np.full(xi.shape, np.inf)
+        for s, start, _ in self.staircases:
+            c = start + s * np.clip(np.round((xi - start) / s), 0, self.plateaus)
+            out = np.minimum(out, np.abs(xi - (c - self.eps)))
+            out = np.minimum(out, np.abs(xi - (c + self.eps)))
+        return out / (self.q * self.q)
 
     def describe(self, indent: int = 0) -> str:
         pad = " " * indent
-        a = self.plateaus
         q2 = self.q * self.q
-        spans = []
-        start = self.i1
-        for s in range(1, self.s1 + 1):
-            end = start + a * s
-            spans.append(f"steps of length {s} on [{start}/{q2}, {end}/{q2}]")
-            start = end
+        spans = (f"steps of length {s} on [{lo}/{q2}, {hi}/{q2}]" for s, lo, hi in self.staircases)
         return (
-            f"{pad}vertical_step_shear(q={self.q}, eps={self.eps}, {a} plateaus "
+            f"{pad}vertical_step_shear(q={self.q}, eps={self.eps}, {self.plateaus} plateaus "
             f"of height {3 * self.eps:.6g}): " + "; ".join(spans)
         )
 
 
 @dataclass(frozen=True)
-class HorizontalStepShear(MapNode):
+class HorizontalStepShear(_StepShear):
     """(x, y) -> (x + chi(y), y): strip i of height 1/a translates by b*i/a.
 
     chi is a smoothed staircase in y with a strips, plateau translation
@@ -572,37 +549,18 @@ class HorizontalStepShear(MapNode):
             )
 
     @property
-    def period(self) -> int:
-        # translation step is b/a = 1/(a/b); a strip index multiple of a/b
-        # contributes an integer translation
-        return self.a // self.b
-
-    @property
     def j0(self) -> int:
-        per = self.period
-        return per * math.ceil(self.a * self.eps / per)
+        # a/b strips make a whole turn; the collar is a whole number of turns
+        turn = self.a // self.b
+        return turn * math.ceil(self.a * self.eps / turn)
 
     def chi(self, y: Array) -> Array:
-        """The staircase of unit ramps centered at the integers j0+1 ... a-j0,
-        in closed form: no a-long array of centers is built."""
+        """The staircase of unit ramps centered at the integers j0+1 ... a-j0."""
         z = mod1(np.asarray(y, dtype=float)) * self.a
-        n = self.a - 2 * self.j0
-        # completed ramps: centers <= z - eps; the next center may be active
-        done = np.clip(np.floor(z - self.eps) - self.j0, 0, n)
-        c = self.j0 + 1 + np.minimum(done, n - 1)
-        active = (np.abs(z - c) < self.eps) & (done < n)
-        count = np.where(active, done + ramp((z - c) / self.eps), done)
-        return (self.b / self.a) * count
+        done, active, r = _ramps(z, self.j0 + 1, 1, self.a - 2 * self.j0, self.eps)
+        return (self.b / self.a) * np.where(active, done + r, done)
 
-    def forward(self, pts: Array) -> Array:
-        out = np.array(pts, dtype=float, copy=True)
-        out[..., 0] = mod1(out[..., 0] + self.chi(out[..., 1]))
-        return out
-
-    def inverse(self, pts: Array) -> Array:
-        out = np.array(pts, dtype=float, copy=True)
-        out[..., 0] = mod1(out[..., 0] - self.chi(out[..., 1]))
-        return out
+    offset = chi
 
     def smoothness_margin(self, pts: Array) -> Array:
         y = mod1(np.asarray(pts[..., 1], dtype=float))
@@ -693,16 +651,12 @@ class Composite(MapNode):
     nodes: tuple[MapNode, ...]
     kind = "composite"
 
-    def forward(self, pts: Array) -> Array:
+    def apply(self, pts: Array, inverse: bool = False) -> Array:
+        # through the children's forward/inverse, so a kind that writes
+        # those instead of apply still composes
         out = np.asarray(pts, dtype=float)
-        for node in reversed(self.nodes):
-            out = node.forward(out)
-        return out
-
-    def inverse(self, pts: Array) -> Array:
-        out = np.asarray(pts, dtype=float)
-        for node in self.nodes:
-            out = node.inverse(out)
+        for node in self.nodes if inverse else reversed(self.nodes):
+            out = node.inverse(out) if inverse else node.forward(out)
         return out
 
     def describe(self, indent: int = 0) -> str:
@@ -764,9 +718,9 @@ def build_untwisted_h(stage: StageParams) -> MapNode:
     return UntwistedH(q=stage.q, eps=float(stage.eps))
 
 
-def build_ue_h(stage: StageParams, i1: int, s1: int) -> MapNode:
-    """Vertical staircase shear followed by the tiled twist (one stage)."""
-    shear = VerticalStepShear(q=stage.q, eps=float(stage.eps), i1=i1, s1=s1)
+def build_ue_h(stage: StageParams) -> MapNode:
+    """The widest vertical staircase shear followed by the tiled twist."""
+    shear = VerticalStepShear.widest(stage.q, float(stage.eps))
     return Composite(nodes=(QuasiRotTiled(q=stage.q, eps=float(stage.eps)), shear))
 
 
@@ -813,11 +767,7 @@ class AbCSystem:
 
     def step(self, pts: Array, inverse: bool = False) -> Array:
         """One application of T (or T^{-1})."""
-        u = self.H.inverse(pts)
-        shift = float(self.alpha_next % 1)
-        u = np.array(u, copy=True)
-        u[..., 0] = mod1(u[..., 0] + (-shift if inverse else shift))
-        return self.H.forward(u)
+        return self.H.forward(Rotation(self.alpha_next).apply(self.H.inverse(pts), inverse))
 
     def describe(self) -> str:
         st = self.stage

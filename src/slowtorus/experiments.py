@@ -8,7 +8,6 @@ identity, which commutes with every rotation.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -47,53 +46,6 @@ UNTWISTED_DESK = desk_profile([(1, 2, 4), (1, 64, 8), (1, 1, 64), (1, 1, 64)])
 VANISHING_DESK = desk_profile([(1, 1, 4), (1, 4, 8), (1, 64, 64), (1, 1, 64)])
 
 
-def stage_map_untwisted(stage: StageParams) -> MapNode:
-    if stage.q < MIN_TWIST_Q:
-        return Rotation(Fraction(0))
-    return build_untwisted_h(stage)
-
-
-def default_ue_placement(stage: StageParams) -> tuple[int, int]:
-    """Largest feasible (i1, s1) placement for the staircase shear."""
-    eps = float(stage.eps)
-    q = stage.q
-    a = 2 * math.floor(1.0 / (3.0 * eps)) - 1
-    lo = math.ceil(2.0 * eps * q)
-    hi = q - lo
-    s1 = 0
-    while lo + a * (s1 + 1) * (s1 + 2) // 2 <= hi:
-        s1 += 1
-    if s1 < 1:
-        raise ValueError(f"stage q={q}, eps={eps} cannot host any staircase block")
-    return lo, s1
-
-
-def stage_map_ue(stage: StageParams) -> MapNode:
-    if stage.q < MIN_TWIST_Q:
-        return Rotation(Fraction(0))
-    i1, s1 = default_ue_placement(stage)
-    return build_ue_h(stage, i1=i1, s1=s1)
-
-
-def stage_map_wm(
-    stage: StageParams,
-    seed: int,
-    word_eps: float = 0.25,
-    sigma: Optional[float] = None,
-    cap_tiles: int = 64,
-) -> tuple[MapNode, WordSelection]:
-    """Word-driven stage map; the word is assembled from a verified selection
-    of q words of length q over the stage alphabet of size n^2 (word_eps is
-    chosen large at desk scale so the separation threshold is attainable at
-    short lengths)."""
-    if stage.q < MIN_TWIST_Q:
-        return Rotation(Fraction(0)), None
-    s = stage.n * stage.n
-    sel = sample_selection(s=s, k=stage.q, n_words=stage.q, eps=word_eps, seed=seed)
-    word = assemble_W(sel, stage.q)
-    return build_wm_h(stage, word, sigma=sigma, cap_tiles=cap_tiles), sel
-
-
 @dataclass(frozen=True)
 class BuiltChain:
     construction: str
@@ -129,25 +81,32 @@ def build_systems(
     sigma: Optional[float] = None,
     cap_tiles: int = 64,
 ) -> BuiltChain:
-    """Chain plus per-stage conjugation maps for one construction."""
+    """Chain plus per-stage conjugation maps for one construction; a stage
+    with q below MIN_TWIST_Q contributes the identity.
+
+    A weak-mixing stage's word is assembled from a verified selection of q
+    words of length q over the stage alphabet of size n^2, sampled with seed
+    ``seed + n`` (word_eps is chosen large at desk scale so the separation
+    threshold is attainable at short lengths)."""
+    if construction not in ("untwisted", "uniquely_ergodic", "weak_mixing"):
+        raise ValueError(f"unknown construction {construction!r}")
     chain = build_chain(profile, n_max)
     maps: list[MapNode] = []
     sels: list[Optional[WordSelection]] = []
     for st in chain:
-        if construction == "untwisted":
-            maps.append(stage_map_untwisted(st))
-            sels.append(None)
+        sel = None
+        if st.q < MIN_TWIST_Q:
+            m = Rotation(Fraction(0))
+        elif construction == "untwisted":
+            m = build_untwisted_h(st)
         elif construction == "uniquely_ergodic":
-            maps.append(stage_map_ue(st))
-            sels.append(None)
-        elif construction == "weak_mixing":
-            m, sel = stage_map_wm(
-                st, seed=seed + st.n, word_eps=word_eps, sigma=sigma, cap_tiles=cap_tiles
-            )
-            maps.append(m)
-            sels.append(sel)
+            m = build_ue_h(st)
         else:
-            raise ValueError(f"unknown construction {construction!r}")
+            q = st.q
+            sel = sample_selection(s=st.n * st.n, k=q, n_words=q, eps=word_eps, seed=seed + st.n)
+            m = build_wm_h(st, assemble_W(sel, q), sigma=sigma, cap_tiles=cap_tiles)
+        maps.append(m)
+        sels.append(sel)
     return BuiltChain(
         construction=construction,
         chain=tuple(chain),

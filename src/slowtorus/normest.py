@@ -55,7 +55,7 @@ def _lifted_value_sup(node: MapNode, g: int, inverse: bool) -> float:
     xs = np.linspace(0.0, 1.0, g + 1)
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-    values = node.apply(pts, inverse=inverse).reshape(g + 1, g + 1, 2)
+    values = (node.inverse if inverse else node.forward)(pts).reshape(g + 1, g + 1, 2)
     best = 0.0
     for coord in range(2):
         vals = values[..., coord]

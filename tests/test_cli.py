@@ -188,6 +188,46 @@ def test_plotdata_unreadable_report_exit_code(tmp_path, capsys, body, message):
     assert err.startswith("validation failure: ") and message in err
 
 
+GOOD_REPORT = (
+    "stage,horizon,eps,count_kind,count,family,t,log_ratio\n2,8,0.125,separated,5,pol,0.5,1.25\n"
+)
+
+
+@pytest.mark.parametrize(
+    "reports",
+    [[None], [GOOD_REPORT, None], [GOOD_REPORT, GOOD_REPORT.replace(",0.5,1.25", "")]],
+    ids=["missing", "good-then-missing", "good-then-short-row"],
+)
+def test_plotdata_bad_report_writes_nothing(tmp_path, reports):
+    paths = []
+    for i, body in enumerate(reports):
+        path = tmp_path / f"r{i}.csv"
+        if body is not None:
+            path.write_text(body)
+        paths.append(str(path))
+    plots = tmp_path / "plots"
+    assert cli.main(["plotdata", *paths, "--outdir", str(plots)]) == cli.EXIT_VALIDATION
+    assert not plots.exists()
+
+
+def test_plotdata_colliding_names_rejected(tmp_path, capsys):
+    paths = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / "counts.csv").write_text(GOOD_REPORT)
+        paths.append(str(tmp_path / sub / "counts.csv"))
+    plots = tmp_path / "plots"
+    assert cli.main(["plotdata", *paths, "--outdir", str(plots)]) == cli.EXIT_VALIDATION
+    assert "curve_counts_pol_t0.5_separated.dat" in capsys.readouterr().err
+    assert not plots.exists()
+    # one of them alone keeps its name
+    assert cli.main(["plotdata", paths[0], "--outdir", str(plots)]) == cli.EXIT_OK
+    assert sorted(p.name for p in plots.iterdir()) == [
+        "curve_counts_pol_t0.5_separated.dat",
+        "manifest.json",
+    ]
+
+
 def test_words_subcommand(tmp_path):
     cfg_path, outdir = write_config(tmp_path)
     rc = cli.main(
@@ -320,6 +360,38 @@ def test_unreadable_config_exit_code(tmp_path, capsys, text, message):
     assert cli.main(["params", "--config", str(path)]) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("validation failure: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"eps_list": 0.125}, "eps_list must be tuple[float, ...], got 0.125"),
+        ({"grid": "32"}, "grid must be int, got '32'"),
+        ({"n_max": 2.5}, "n_max must be int, got 2.5"),
+        ({"seed": True}, "seed must be int, got True"),
+        ({"relax_eps": 1}, "relax_eps must be bool, got 1"),
+        ({"sigma": "0.5"}, "sigma must be Optional[float]"),
+        ({"kl_schedule": [[1, 2, 4], [1, 8]]}, "kl_schedule must be tuple[tuple[int, int, int]"),
+        ({"families": [["int1", 4, 2.0]]}, "families must be"),
+        ({"horizons": ["1", 2.0]}, "horizons must be"),
+    ],
+    ids=["eps-list-scalar", "grid-string", "n-max-float", "seed-bool", "relax-int", "sigma-string",
+         "kl-short-step", "family-float", "horizon-float"],
+)
+def test_config_value_of_wrong_type_exit_code(tmp_path, forbid_build, capsys, override, message):
+    cfg_path, outdir = write_config(tmp_path, **override)
+    assert cli.main(["run", "--config", str(cfg_path)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("validation failure: config field ") and message in err
+    assert not outdir.exists()
+
+
+def test_config_values_keep_their_json_types(tmp_path):
+    # an int stands for a float and in horizons; nothing is converted, so the
+    # config hash stays the one of the file as written
+    path, _ = write_config(tmp_path, horizons=[1, "q"], max_orbit_evals=1000000000, sigma=None)
+    cfg = cli.load_config(str(path), {})
+    assert cfg.horizons == (1, "q") and type(cfg.max_orbit_evals) is int and cfg.sigma is None
 
 
 def test_params_chain_error_exit(tmp_path, capsys):

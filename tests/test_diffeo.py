@@ -272,6 +272,37 @@ def test_horizontal_shear_commutes_with_rotation():
     assert tdist(lhs, rhs) <= 1e-12
 
 
+def _staircase_profile(z, centers, signs, width):
+    """Sum of +-ramps at the given centers, each of half-width ``width``.
+
+    Closed form: ramps are disjoint (centers at least 2*width apart), so at
+    most one is partially active at any z; the rest contribute 0 or 1.
+    """
+    z = np.asarray(z, dtype=float)
+    total = np.zeros_like(z)
+    if len(centers) == 0:  # a single plateau (eps > 1/6 in the step shear)
+        return total
+    # completed ramps: center <= z - width
+    idx = np.searchsorted(centers, z - width, side="right")
+    csum = np.concatenate([[0.0], np.cumsum(signs)])
+    total += csum[idx]
+    # at most one active ramp: the first center > z - width
+    nearest = np.clip(idx, 0, len(centers) - 1)
+    c = centers[nearest]
+    active = np.abs(z - c) < width
+    total = np.where(
+        active & (idx < len(centers)),
+        total + signs[nearest] * df.ramp((z - c) / width),
+        total,
+    )
+    return total
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 @pytest.mark.parametrize("a, b, eps", [(40, 5, 0.1), (5120, 5, 0.125), (720896, 11, 0.125)])
 def test_horizontal_shear_chi_matches_staircase(a, b, eps):
     # the closed form equals the generic staircase over the explicit centers
@@ -283,8 +314,41 @@ def test_horizontal_shear_chi_matches_staircase(a, b, eps):
     rng = np.random.Generator(np.random.Philox(15))
     for y in (rng.random(100_000), edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)):
         z = df.mod1(y) * a
-        want = (b / a) * df._staircase_profile(z, centers, np.ones_like(centers), eps)
-        assert np.array_equal(g.chi(y), want)
+        want = (b / a) * _staircase_profile(z, centers, np.ones_like(centers), eps)
+        assert_same_bits(g.chi(y), want)
+
+
+@pytest.mark.parametrize(
+    "q, eps, i1, s1",
+    [(8, 0.125, 2, 1), (8, 0.125, 3, 1), (64, 0.125, 16, 4), (512, 0.125, 128, 12),
+     (64, 0.05, 7, 2), (40, 0.07, 6, 2), (30, 0.1, 7, 1), (100, 0.2, 40, 4)],
+)
+def test_vertical_shear_psi_matches_staircase(q, eps, i1, s1):
+    # per staircase s, the generic staircase over the signed centers i*s,
+    # i = 1 .. a-1: the first floor(1/(3*eps)) - 1 step down, the rest up
+    v = df.VerticalStepShear(q=q, eps=eps, i1=i1, s1=s1)
+    a = v.plateaus
+    down = np.arange(1, a) <= (a + 1) // 2 - 1
+    starts = i1 + a * np.cumsum(np.arange(s1 + 1))  # staircase s is a*s long
+
+    def reference(x):
+        frac = df.mod1(x) * q
+        xi = (frac - np.floor(frac)) * q
+        out = np.zeros_like(xi)
+        for s in range(1, s1 + 1):
+            inside = (xi >= starts[s - 1]) & (xi < starts[s])
+            centers = np.arange(1, a) * float(s)
+            signs = np.where(down, -1.0, 1.0)
+            zeta = xi[inside] - starts[s - 1]
+            out[inside] = 3.0 * eps * _staircase_profile(zeta, centers, signs, eps)
+        return out
+
+    centers = np.concatenate([starts[s - 1] + s * np.arange(a + 1) for s in range(1, s1 + 1)])
+    xi = np.concatenate([centers + d for d in (-eps, 0.0, eps)])
+    edges = ((np.arange(q)[:, None] + xi / q) / q).ravel()
+    rng = np.random.Generator(np.random.Philox(16))
+    for x in (rng.random(100_000), edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)):
+        assert_same_bits(v.psi(x), reference(x))
 
 
 # -- word-driven stage map --------------------------------------------------

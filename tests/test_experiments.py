@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ import slowtorus.diffeo as df
 from slowtorus.experiments import (
     UNTWISTED_DESK,
     build_systems,
-    default_ue_placement,
     desk_profile,
     wm_desk_profile,
 )
@@ -61,13 +62,23 @@ def test_ue_equivariance_and_periodicity():
 
 
 def test_ue_placement_respects_constraints():
-    built = build_systems("uniquely_ergodic", UNTWISTED_DESK, 2)
-    st = built.chain[1]
-    i1, s1 = default_ue_placement(st)
-    v = df.VerticalStepShear(q=st.q, eps=float(st.eps), i1=i1, s1=s1)
-    a = v.plateaus
-    assert i1 >= 2 * float(st.eps) * st.q
-    assert i1 + a * s1 * (s1 + 1) / 2 <= st.q - 2 * float(st.eps) * st.q
+    # each stage's shear starts at the lowest i1 and holds the most
+    # staircases that fit (q = 8 and 512)
+    built = build_systems("uniquely_ergodic", desk_profile([(1, 2, 4), (1, 8, 8), (1, 1, 64)]), 3)
+    for st, h in zip(built.chain[1:], built.stage_maps[1:]):
+        v = h.nodes[1]
+        assert isinstance(v, df.VerticalStepShear)
+        a, i1, s1 = v.plateaus, v.i1, v.s1
+        assert i1 == math.ceil(2 * float(st.eps) * st.q)
+        assert i1 + a * s1 * (s1 + 1) / 2 <= st.q - 2 * float(st.eps) * st.q
+        with pytest.raises(df.ConstructionError, match="q - ceil"):
+            df.VerticalStepShear(q=st.q, eps=v.eps, i1=i1, s1=s1 + 1)
+
+
+def test_unknown_construction_rejected_before_any_stage():
+    for n_max in (1, 2):
+        with pytest.raises(ValueError, match="unknown construction 'spiral'"):
+            build_systems("spiral", UNTWISTED_DESK, n_max)
 
 
 def test_ue_separated_count_grows_with_stage():

@@ -235,6 +235,32 @@ def test_margin_vanishes_on_block_edges_and_zone_squares(kind, data, seed):
     assert np.max(node.smoothness_margin(pts)) <= 1e-12
 
 
+def ramp_edges(node):
+    """Points on both edges of every ramp of a step shear, at a random
+    coordinate along the slide, as the kind's docstring places its ramps."""
+    if isinstance(node, df.VerticalStepShear):
+        a, start, xi = node.plateaus, node.i1, []
+        for s in range(1, node.s1 + 1):
+            xi += [start + i * s for i in range(1, a)]
+            start += a * s
+        edges = np.concatenate([np.array(xi, dtype=float) + d for d in (-node.eps, node.eps)])
+        cells = np.arange(node.q)[:, None]
+        return ((cells + edges / node.q) / node.q).ravel(), 0
+    centers = np.arange(node.j0 + 1, node.a - node.j0 + 1, dtype=float)
+    return np.concatenate([centers + d for d in (-node.eps, node.eps)]) / node.a, 1
+
+
+@pytest.mark.parametrize("kind", ["vertical_step_shear", "horizontal_step_shear"])
+@prop
+@given(data=hst.data(), seed=hst.integers(0, 2**32))
+def test_margin_vanishes_on_ramp_edges(kind, data, seed):
+    node = data.draw(NODE_STRATEGIES[kind])
+    edges, axis = ramp_edges(node)
+    pts = np.random.Generator(np.random.Philox(seed)).random((edges.size, 2))
+    pts[:, axis] = edges
+    assert np.max(node.smoothness_margin(pts), initial=0.0) <= 1e-12
+
+
 def test_word_symbols_beyond_base36_rejected():
     node = df.WordDrivenPhi(q=1, eps=0.1, word=(0, 36))
     with pytest.raises(ValueError, match="symbol 36"):
