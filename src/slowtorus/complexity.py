@@ -312,8 +312,7 @@ def witness_untwisted(
     if len(base) > max_points:
         base = base[:max_points]
         partial = True
-    fracs = sys.rotation_fracs(range(horizon))
-    orbs = diffeo.orbit_images(sys.H, base, fracs)
+    orbs = diffeo.orbit_images(sys.H, base, sys.alpha_next, range(horizon))
     dmat = pairwise_bowen(orbs)
     n = base.shape[0]
     iu = np.triu_indices(n, k=1)
@@ -351,8 +350,9 @@ def code_orbits(sys: AbCSystem, part: Partition, pts: Array, n_time: int) -> Arr
     smallest unsigned dtype for the labels; the float orbit is never held."""
     u = sys.H.inverse(as_points(pts))
     dtype = np.min_scalar_type(part.n_cells - 1)
-    fracs = sys.rotation_fracs(range(n_time))
-    words = diffeo.orbit_images(sys.H, u, fracs, label=part.labels, dtype=dtype)
+    words = diffeo.orbit_images(
+        sys.H, u, sys.alpha_next, range(n_time), label=part.labels, dtype=dtype
+    )
     return np.ascontiguousarray(words.T)
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import typing
@@ -238,6 +239,13 @@ class MapNode:
     def smoothness_margin(self, pts: Array) -> Array:
         return np.full(np.asarray(pts).shape[:-1], np.inf)
 
+    @property
+    def period(self) -> int:
+        """A p such that the map commutes with R_{1/p}, the horizontal
+        rotation by 1/p; 0 when it commutes with every horizontal rotation.
+        The default 1 claims no symmetry."""
+        return 1
+
     def _json_fields(self) -> dict:
         """Each dataclass field in its JSON form, in field order."""
         return {name: enc(getattr(self, name)) for name, enc, _ in _field_codecs(type(self))}
@@ -257,6 +265,10 @@ class Rotation(MapNode):
 
     alpha: Fraction = Fraction(0)
     kind = "rotation"
+
+    @property
+    def period(self) -> int:
+        return 0
 
     def apply(self, pts: Array, inverse: bool = False) -> Array:
         shift = float(self.alpha % 1)
@@ -281,6 +293,10 @@ class _TiledTwist(MapNode):
     @property
     def twist(self) -> SquareTwist:
         return SquareTwist(self.eps)
+
+    @property
+    def period(self) -> int:
+        return self.q
 
     def _blocks(self, lx: Array) -> list:
         """Pieces (sel, X, back, stretch) of the cell coordinate lx in [0, 1):
@@ -454,14 +470,19 @@ class VerticalStepShear(_StepShear):
         return lo, q - lo
 
     @classmethod
-    def widest(cls, q: int, eps: float) -> VerticalStepShear:
-        """The shear from the lowest i1 with the most staircases that fit."""
-        shear = cls(q=q, eps=eps, i1=cls._room(q, eps)[0], s1=1)
+    def widest(cls, q: int, eps: float) -> Optional[VerticalStepShear]:
+        """The shear from the lowest i1 with the most staircases that fit, or
+        None when not even one staircase fits (or eps is out of range)."""
+        i1, shear = cls._room(q, eps)[0], None
         try:
-            while True:
-                shear = dataclasses.replace(shear, s1=shear.s1 + 1)
+            for s1 in itertools.count(1):
+                shear = cls(q=q, eps=eps, i1=i1, s1=s1)
         except ConstructionError:
             return shear
+
+    @property
+    def period(self) -> int:
+        return self.q
 
     @property
     def plateaus(self) -> int:
@@ -547,6 +568,10 @@ class HorizontalStepShear(_StepShear):
                 "identity collar consumes the whole strip range "
                 f"(j0={self.j0}, a={self.a}): eps too large for this a, b"
             )
+
+    @property
+    def period(self) -> int:
+        return 0
 
     @property
     def j0(self) -> int:
@@ -651,6 +676,10 @@ class Composite(MapNode):
     nodes: tuple[MapNode, ...]
     kind = "composite"
 
+    @property
+    def period(self) -> int:
+        return functools.reduce(math.gcd, (node.period for node in self.nodes), 0)
+
     def apply(self, pts: Array, inverse: bool = False) -> Array:
         # through the children's forward/inverse, so a kind that writes
         # those instead of apply still composes
@@ -719,9 +748,11 @@ def build_untwisted_h(stage: StageParams) -> MapNode:
 
 
 def build_ue_h(stage: StageParams) -> MapNode:
-    """The widest vertical staircase shear followed by the tiled twist."""
+    """The widest vertical staircase shear followed by the tiled twist; the
+    identity when no staircase fits in the stage's 1/q cell."""
+    twist = QuasiRotTiled(q=stage.q, eps=float(stage.eps))  # validates eps
     shear = VerticalStepShear.widest(stage.q, float(stage.eps))
-    return Composite(nodes=(QuasiRotTiled(q=stage.q, eps=float(stage.eps)), shear))
+    return Composite(nodes=(twist, shear)) if shear else Rotation(Fraction(0))
 
 
 def build_wm_h(
@@ -759,12 +790,6 @@ class AbCSystem:
     def q_next(self) -> int:
         return self.alpha_next.denominator
 
-    def rotation_fracs(self, times: Sequence[int]) -> Array:
-        """t * alpha_next mod 1 for each t, computed in exact arithmetic."""
-        p = self.alpha_next.numerator
-        q = self.alpha_next.denominator
-        return np.array([((t * p) % q) / q for t in times], dtype=float)
-
     def step(self, pts: Array, inverse: bool = False) -> Array:
         """One application of T (or T^{-1})."""
         return self.H.forward(Rotation(self.alpha_next).apply(self.H.inverse(pts), inverse))
@@ -790,36 +815,71 @@ def orbit(sys: AbCSystem, x, L: int, stride: int = 1) -> Array:
 def orbit_batch(sys: AbCSystem, seeds: Array, times: Sequence[int]) -> Array:
     """Orbit positions for many seeds: returns (len(times), n_seeds, 2)."""
     seeds = as_points(seeds)
-    return orbit_images(sys.H, sys.H.inverse(seeds), sys.rotation_fracs(times))
+    return orbit_images(sys.H, sys.H.inverse(seeds), sys.alpha_next, times)
 
 
 def orbit_images(
-    H: MapNode, base: Array, fracs: Array, label: Optional[Callable] = None, dtype=float
+    H: MapNode,
+    base: Array,
+    alpha: Fraction,
+    times: Sequence[int],
+    label: Optional[Callable] = None,
+    dtype=float,
 ) -> Array:
-    """H(base + (frac, 0)) for each frac: orbit of H(base) under H R^t H^{-1}
-    without the inverse pull-back (useful when base points are given in
-    pre-conjugation coordinates), as (len(fracs), n, 2).  The float orbit is
-    a view of a point-major (n, len(fracs), 2) buffer, so each point's orbit
+    """H(base + (t*alpha, 0)) for each t in times: the orbit of H(base) under
+    H R_alpha H^{-1} without the inverse pull-back (base points are given in
+    pre-conjugation coordinates), as (len(times), n, 2).  The float orbit is
+    a view of a point-major (n, len(times), 2) buffer, so each point's orbit
     is contiguous (greedy_centers reads it that way).
 
-    Each H.forward call takes whole time slices, about ORBIT_CHUNK_POINTS
-    points.  With ``label``, a per-point map from (m, 2) points to m values,
-    each chunk is labelled at once into a time-major (len(fracs), n) array of
-    ``dtype``, so the float orbit is never held.
+    H commutes with R_{1/g} for g = gcd(H.period, Q), alpha = p/Q.  Times
+    whose k = t*p mod Q agree modulo Q/g form one residue class: two of them
+    differ by k - k0 = j*Q/g, and H(u + k/Q) = H(u + k0/Q) + (j/g, 0).  So
+    H.forward runs once per class, at the exact rotation k0/Q of the class's
+    first time, on about ORBIT_CHUNK_POINTS points per call; each time of
+    the class is written straight away as that image rotated by j/g.  The
+    first time of each class gets the bits of a direct evaluation, the later
+    ones round differently, by about an ulp of input times the stack's
+    stretch.  Consecutive times are all first times up to Q/g of them, and
+    every time is one at g = 1.  With ``label``, a per-point map from (m, 2)
+    points to m values, the images are labelled as they are written, into a
+    time-major (len(times), n) array of ``dtype``, so the float orbit is
+    never held.
     """
     base = as_points(base)
     n = base.shape[0]
+    p, Q = alpha.numerator, alpha.denominator
+    g = math.gcd(H.period, Q)
+    width = Q // g
+    # each class's first k and its times, in order of first appearance
+    classes: dict[int, tuple[int, list[int]]] = {}
+    shift = np.empty(len(times))
+    for i, t in enumerate(times):
+        k = t * p % Q
+        k0, members = classes.setdefault(k % width, (k, []))
+        members.append(i)
+        shift[i] = ((k - k0) // width % g) / g
+    firsts = [k0 for k0, _ in classes.values()]
+    order = np.array([i for _, members in classes.values() for i in members], dtype=np.intp)
+    bounds = np.cumsum([0] + [len(members) for _, members in classes.values()])
+    slot = np.empty(len(times), dtype=np.intp)
+    slot[order] = np.repeat(np.arange(len(firsts)), np.diff(bounds))
     if label is None:
-        out = np.empty((n, len(fracs), 2), dtype=dtype).transpose(1, 0, 2)
+        out = np.empty((n, len(times), 2), dtype=dtype).transpose(1, 0, 2)
     else:
-        out = np.empty((len(fracs), n), dtype=dtype)
+        out = np.empty((len(times), n), dtype=dtype)
     step = max(1, ORBIT_CHUNK_POINTS // max(n, 1))
-    for i in range(0, len(fracs), step):
-        fr = fracs[i : i + step]
-        pts = np.repeat(base[None], len(fr), axis=0)
-        pts[..., 0] = mod1(base[:, 0] + fr[:, None])
-        img = H.forward(pts.reshape(-1, 2))
-        out[i : i + len(fr)] = (img if label is None else label(img)).reshape(len(fr), *out.shape[1:])
+    for c0 in range(0, len(firsts), step):
+        ks = firsts[c0 : c0 + step]
+        pts = np.repeat(base[None], len(ks), axis=0)
+        pts[..., 0] = mod1(base[:, 0] + np.array([k / Q for k in ks])[:, None])
+        img = H.forward(pts.reshape(-1, 2)).reshape(len(ks), n, 2)
+        end = bounds[c0 + len(ks)]
+        for s0 in range(bounds[c0], end, step):
+            idx = order[s0 : min(s0 + step, end)]
+            moved = img[slot[idx] - c0]
+            moved[..., 0] = mod1(moved[..., 0] + shift[idx, None])
+            out[idx] = moved if label is None else label(moved.reshape(-1, 2)).reshape(len(idx), n)
     return out
 
 

@@ -511,3 +511,40 @@ def test_run_scale_family_out_of_domain_exits_before_measuring(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("validation failure: scale family int1-r4-q1000 at horizon")
     assert not outdir.exists()
+
+
+def test_run_readme_config_pins_tie_sensitive_counts(tmp_path):
+    # The README run.  Its counts sit on exact ties: on the grid at horizon
+    # 64, 6611 pairs are at Bowen distance exactly 1/8 and 1117 more within
+    # 1e-14 of it, and the witness minimum is exactly eps = 1/8.  A one-ulp
+    # change to the orbits would show here first.
+    cfg_path, outdir = write_config(
+        tmp_path, kl_schedule=[[1, 2, 4], [1, 64, 8], [1, 1, 64]], grid=32
+    )
+    assert cli.main(["run", "--config", str(cfg_path)]) == 0
+    rows = [ln.split(",") for ln in (outdir / "raw_counts.csv").read_text().splitlines()
+            if not ln.startswith("#")][1:]
+    assert [(h, kind, int(c)) for _st, _q, h, _eps, kind, c in rows] == [
+        ("1", "separated", 56), ("1", "cover", 56),
+        ("8", "separated", 72), ("8", "cover", 72),
+        ("4096", "separated", 504), ("4096", "cover", 504),
+        ("4096", "hamming", 1070),
+    ]
+    summary = (outdir / "summary.txt").read_text()
+    assert "witness separation pass (count=12, expected=12, min separation=0.125)" in summary
+
+
+def test_describe_uniquely_ergodic_skips_stage_without_staircase(tmp_path, capsys):
+    # at q = 4 and eps = 1/8 no staircase fits: that stage is the identity,
+    # as in the untwisted chain, and the q = 64 stage is built
+    cfg_path, _ = write_config(
+        tmp_path,
+        construction="uniquely_ergodic",
+        kl_schedule=[[1, 1, 4], [1, 4, 8], [1, 64, 64]],
+        n_max=3,
+    )
+    assert cli.main(["describe", "--config", str(cfg_path)]) == 0
+    out = capsys.readouterr().out
+    stage2, stage3 = out.split("stage n=3")
+    assert "q=4," in stage2 and "rotation(alpha=0/1)" in stage2
+    assert "quasi_rot_tiled(q=64" in stage3 and "vertical_step_shear(q=64" in stage3

@@ -173,6 +173,22 @@ def test_code_orbit_rotation_cycles():
     assert w.tolist() == [0, 1, 2, 3]
 
 
+def test_code_orbits_match_direct_labels_on_readme_samples(untwisted_sys2):
+    # the README run's Hamming sample (seed 7, 2000 points, 8 x 8 cells) over
+    # all 4096 times: every label of the residue path equals the label of a
+    # direct evaluation H(u + t*alpha), though later times of a residue
+    # class are rotated images
+    part = cx.GridPartition(8, 8)
+    pts = np.random.Generator(np.random.Philox(7)).random((2000, 2))
+    words = cx.code_orbits(untwisted_sys2, part, pts, 4096)
+    H, alpha = untwisted_sys2.H, untwisted_sys2.alpha_next
+    u = H.inverse(pts)
+    for t in range(4096):
+        x = u.copy()
+        x[:, 0] = df.mod1(u[:, 0] + (t * alpha.numerator % alpha.denominator) / alpha.denominator)
+        assert np.array_equal(words[:, t], part.labels(H.forward(x))), t
+
+
 def test_pushforward_partition_labels(untwisted_sys2):
     base = cx.GridPartition(4, 4)
     push = cx.PushforwardPartition(base, untwisted_sys2.H)

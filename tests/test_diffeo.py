@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import slowtorus.diffeo as df
+from slowtorus.experiments import UNTWISTED_DESK, build_systems
 from slowtorus.params import StageParams
 
 
@@ -447,12 +448,103 @@ def test_orbit_matches_naive_composition(untwisted_sys2):
 
 def test_orbit_images_chunking_is_bitwise(untwisted_sys2, monkeypatch):
     # several time slices per forward call, with a short last chunk, give
-    # the same bits as one slice per call
+    # the same bits as one slice per call: on 31 classes of one time, and on
+    # five classes of eight times each
     seeds = np.array([[0.23, 0.57], [0.61, 0.08], [0.9, 0.33]])
-    monkeypatch.setattr(df, "ORBIT_CHUNK_POINTS", 7)
-    chunked = df.orbit_batch(untwisted_sys2, seeds, range(31))
-    monkeypatch.setattr(df, "ORBIT_CHUNK_POINTS", 1)
-    assert np.array_equal(chunked, df.orbit_batch(untwisted_sys2, seeds, range(31)))
+    for times in (range(31), [t + c * 512 for c in range(8) for t in range(5)]):
+        monkeypatch.setattr(df, "ORBIT_CHUNK_POINTS", 7)
+        chunked = df.orbit_batch(untwisted_sys2, seeds, times)
+        monkeypatch.setattr(df, "ORBIT_CHUNK_POINTS", 1)
+        assert np.array_equal(chunked, df.orbit_batch(untwisted_sys2, seeds, times))
+
+
+def direct_orbit(sys, seeds, times, ulps=0):
+    """H(mod1(u + t*alpha)) with u = H^{-1}(seeds): one forward call per
+    time, t*alpha reduced mod 1 in exact arithmetic; with ``ulps``, each
+    input's x moved that many ulps up."""
+    u = sys.H.inverse(seeds)
+    p, q = sys.alpha_next.numerator, sys.alpha_next.denominator
+    out = []
+    for t in times:
+        pts = u.copy()
+        pts[:, 0] = df.mod1(u[:, 0] + (t * p % q) / q)
+        for _ in range(ulps):
+            pts[:, 0] = np.nextafter(pts[:, 0], 2.0)
+        out.append(sys.H.forward(pts))
+    return np.stack(out)
+
+
+@pytest.fixture(scope="module")
+def ue_sys2():
+    return build_systems("uniquely_ergodic", UNTWISTED_DESK, 2).system(2)
+
+
+@pytest.mark.parametrize(
+    "name, steep",
+    [("untwisted_sys2", False), ("untwisted_sys3", True), ("ue_sys2", True), ("wm8", True)],
+)
+def test_orbit_batch_residue_path_matches_direct_evaluation(name, steep, request, wm_systems):
+    # A rotated image H(u + k0/Q) + j/g rounds differently from a direct
+    # H(u + k/Q).  A steep stack stretches that rounding: there the bound is
+    # twice the move of the direct orbit itself when its inputs move up by
+    # one ulp.  Measured, against that move: 2.1e-13 against 2.1e-13 at ue
+    # stage 2, 2.9e-11 against 3.4e-11 at untwisted stage 3, 1.5e-11
+    # against 2.6e-10 at wm q2=8; 6.1e-14 at untwisted stage 2.
+    sys = wm_systems[8] if name == "wm8" else request.getfixturevalue(name)
+    assert sys.H.period == 8
+    rng = np.random.Generator(np.random.Philox(31))
+    seeds = rng.random((40, 2))
+    # every time of one period of alpha, or whole residue classes spread
+    # over it: t, t + q/8, ..., t + 7q/8 share t's class
+    q = sys.q_next
+    times = range(q)
+    if q > 4096:
+        times = [t + c * q // 8 for t in rng.integers(0, q // 8, 75).tolist() for c in range(8)]
+    got = df.orbit_batch(sys, seeds, times)
+    assert got.shape == (len(times), 40, 2)
+    want = direct_orbit(sys, seeds, times)
+    tol = 2 * tdist(direct_orbit(sys, seeds, times, ulps=1), want) if steep else 1e-13
+    assert tdist(got, want) <= tol
+
+
+def count_forward_points(monkeypatch, cls):
+    seen = []
+    forward = cls.forward
+
+    def counting(self, pts):
+        seen.append(len(pts))
+        return forward(self, pts)
+
+    monkeypatch.setattr(cls, "forward", counting)
+    return seen
+
+
+def test_orbit_batch_evaluates_once_per_residue(untwisted_sys2, monkeypatch):
+    # g = gcd(8, 4096) = 8: 4096 times fall into 4096 / 8 = 512 residues
+    seen = count_forward_points(monkeypatch, df.Composite)
+    seeds = np.random.Generator(np.random.Philox(5)).random((100, 2))
+    df.orbit_batch(untwisted_sys2, seeds, range(4096))
+    assert sum(seen) == 512 * 100
+
+
+def test_orbit_batch_identity_stack_evaluates_once(monkeypatch):
+    # period 0: every time is one residue class
+    sysm = df.AbCSystem(H=df.Rotation(Fraction(0)), alpha_next=Fraction(3, 7), stage=stage(q=7))
+    seen = count_forward_points(monkeypatch, df.Rotation)
+    seeds = np.array([[0.1, 0.2], [0.4, 0.9], [0.75, 0.5]])
+    orb = df.orbit_batch(sysm, seeds, range(20))
+    assert sum(seen) == 3
+    want = df.mod1(seeds[None, :, 0] + np.array([(3 * t % 7) / 7 for t in range(20)])[:, None])
+    assert tdist(orb[..., 0], want) <= 1e-15
+    assert np.array_equal(orb[..., 1], np.broadcast_to(seeds[:, 1], (20, 3)))
+
+
+def test_orbit_batch_first_times_of_classes_are_direct(untwisted_sys2):
+    # up to Q/g = 512 consecutive times each open their own class, so each
+    # is evaluated at its exact rotation: the same bits as direct evaluation
+    seeds = np.random.Generator(np.random.Philox(6)).random((30, 2))
+    assert np.array_equal(df.orbit_batch(untwisted_sys2, seeds, range(512)),
+                          direct_orbit(untwisted_sys2, seeds, range(512)))
 
 
 def test_orbit_stride():
