@@ -93,10 +93,10 @@ def load_config(path: Optional[str], overrides: dict) -> ExperimentConfig:
             raise ConfigError(f"config {path} must hold a JSON object, not {type(loaded).__name__}")
         data.update(loaded)
     data.update({k: v for k, v in overrides.items() if v is not None})
-    for key in ("kl_schedule", "horizons", "eps_list", "families", "t_grid"):
-        if key in data and isinstance(data[key], list):
-            data[key] = tuple(tuple(v) if isinstance(v, list) else v for v in data[key])
     types = get_type_hints(ExperimentConfig)
+    for key, tp in types.items():
+        if get_origin(tp) is tuple and isinstance(data.get(key), list):
+            data[key] = tuple(tuple(v) if isinstance(v, list) else v for v in data[key])
     unknown = set(data) - set(types)
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")

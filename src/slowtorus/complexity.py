@@ -67,7 +67,6 @@ class BowenConfig:
     eps: float
     grid: int = 32
     points: Optional[Array] = None  # explicit candidate list overrides grid
-    stride: int = 1
 
     def __post_init__(self):
         if self.n_time < 1:
@@ -80,12 +79,11 @@ class BowenConfig:
             return as_points(self.points)
         return grid_candidates(self.grid)
 
-    def times(self) -> list[int]:
-        return list(range(0, self.n_time, self.stride))
-
 
 def grid_candidates(g: int) -> Array:
     """Row-major midpoints of a g x g grid."""
+    if g < 1:
+        raise ValueError(f"grid must be >= 1, got {g}")
     mids = (np.arange(g) + 0.5) / g
     ys, xs = np.meshgrid(mids, mids, indexing="ij")
     return np.stack([xs.ravel(), ys.ravel()], axis=-1)
@@ -139,13 +137,15 @@ Partition = Union[GridPartition, PushforwardPartition]
 def bowen_dist(sys: AbCSystem, x, y, n_time: int) -> float:
     """max over 0 <= i < n_time of the torus sup-distance of the orbits."""
     pts = np.stack([as_points(x)[0], as_points(y)[0]])
-    orb = orbit_batch(sys, pts, range(n_time))
+    orb = orbit_batch(sys, pts, n_time)
     return float(np.max(torus_dist(orb[:, 0, :], orb[:, 1, :])))
 
 
-def orbit_array(sys: AbCSystem, candidates: Array, times: Sequence[int]) -> Array:
-    """(T, N, 2) orbit positions of all candidates."""
-    return orbit_batch(sys, candidates, times)
+def orbit_array(sys: AbCSystem, candidates: Array, times: range) -> Array:
+    """(T, N, 2) orbit positions of all candidates at times = range(T)."""
+    if not isinstance(times, range) or times != range(len(times)):
+        raise ValueError(f"orbit times must be range(T), got {times!r}")
+    return orbit_batch(sys, candidates, len(times))
 
 
 def _greedy_balls(
@@ -219,7 +219,7 @@ class SeparatedResult:
 def max_separated(sys: AbCSystem, cfg: BowenConfig) -> SeparatedResult:
     """Greedy Bowen packing over the candidate grid (lower bound for S)."""
     cands = cfg.candidates()
-    orbits = orbit_array(sys, cands, cfg.times())
+    orbits = orbit_array(sys, cands, range(cfg.n_time))
     kept = greedy_centers(orbits, cfg.eps)
     return SeparatedResult(count=len(kept), witnesses=cands[kept])
 
@@ -312,7 +312,7 @@ def witness_untwisted(
     if len(base) > max_points:
         base = base[:max_points]
         partial = True
-    orbs = diffeo.orbit_images(sys.H, base, sys.alpha_next, range(horizon))
+    orbs = diffeo.orbit_images(sys.H, base, sys.alpha_next, horizon)
     dmat = pairwise_bowen(orbs)
     n = base.shape[0]
     iu = np.triu_indices(n, k=1)
@@ -321,12 +321,11 @@ def witness_untwisted(
     for i, j, d in zip(iu[0], iu[1], pair_min):
         if d < eps:
             failures.append((int(i), int(j), float(d)))
-    images = sys.H.forward(base)
     return WitnessReport(
         count=n,
         expected_count=expected,
         points=base,
-        images=images,
+        images=orbs[0].copy(),
         horizon=horizon,
         eps=eps,
         all_separated=not failures,
@@ -350,9 +349,7 @@ def code_orbits(sys: AbCSystem, part: Partition, pts: Array, n_time: int) -> Arr
     smallest unsigned dtype for the labels; the float orbit is never held."""
     u = sys.H.inverse(as_points(pts))
     dtype = np.min_scalar_type(part.n_cells - 1)
-    words = diffeo.orbit_images(
-        sys.H, u, sys.alpha_next, range(n_time), label=part.labels, dtype=dtype
-    )
+    words = diffeo.orbit_images(sys.H, u, sys.alpha_next, n_time, label=part.labels, dtype=dtype)
     return np.ascontiguousarray(words.T)
 
 
@@ -434,9 +431,8 @@ def sandwich_check(
     squeezed between covers of the current stage at doubled and halved radii,
     and its separated count dominates the current stage's at doubled radius."""
     cands = grid_candidates(grid)
-    times = list(range(m))
-    orb_n = orbit_array(sys_n, cands, times)
-    orb_next = orbit_array(sys_next, cands, times)
+    orb_n = orbit_array(sys_n, cands, range(m))
+    orb_next = orbit_array(sys_next, cands, range(m))
     n4 = len(greedy_centers(orb_n, 4 * eps))
     n2 = len(greedy_centers(orb_next, 2 * eps))
     n1 = len(greedy_centers(orb_n, eps))

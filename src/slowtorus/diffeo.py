@@ -804,82 +804,67 @@ class AbCSystem:
         return "\n".join(lines)
 
 
-def orbit(sys: AbCSystem, x, L: int, stride: int = 1) -> Array:
-    """T^t(x) for t = 0, stride, ... < L: one inverse pull-back, one forward
-    evaluation per sample, rotation advanced in exact rational arithmetic."""
+def orbit(sys: AbCSystem, x, L: int) -> Array:
+    """T^t(x) for 0 <= t < L: one inverse pull-back, then forward
+    evaluations with the rotation advanced in exact rational arithmetic."""
     if L < 1:
         raise ValueError("L must be >= 1")
-    return orbit_batch(sys, as_points(x), range(0, L, stride))[:, 0, :]
+    return orbit_batch(sys, as_points(x), L)[:, 0, :]
 
 
-def orbit_batch(sys: AbCSystem, seeds: Array, times: Sequence[int]) -> Array:
-    """Orbit positions for many seeds: returns (len(times), n_seeds, 2)."""
+def orbit_batch(sys: AbCSystem, seeds: Array, n_time: int) -> Array:
+    """Orbit positions for many seeds at times 0..n_time-1: returns
+    (n_time, n_seeds, 2)."""
     seeds = as_points(seeds)
-    return orbit_images(sys.H, sys.H.inverse(seeds), sys.alpha_next, times)
+    return orbit_images(sys.H, sys.H.inverse(seeds), sys.alpha_next, n_time)
 
 
 def orbit_images(
     H: MapNode,
     base: Array,
     alpha: Fraction,
-    times: Sequence[int],
+    n_time: int,
     label: Optional[Callable] = None,
     dtype=float,
 ) -> Array:
-    """H(base + (t*alpha, 0)) for each t in times: the orbit of H(base) under
+    """H(base + (t*alpha, 0)) for 0 <= t < n_time: the orbit of H(base) under
     H R_alpha H^{-1} without the inverse pull-back (base points are given in
-    pre-conjugation coordinates), as (len(times), n, 2).  The float orbit is
-    a view of a point-major (n, len(times), 2) buffer, so each point's orbit
-    is contiguous (greedy_centers reads it that way).
+    pre-conjugation coordinates), as (n_time, n, 2).  The float orbit is a
+    view of a point-major (n, n_time, 2) buffer, so each point's orbit is
+    contiguous (greedy_centers reads it that way).
 
-    H commutes with R_{1/g} for g = gcd(H.period, Q), alpha = p/Q.  Times
-    whose k = t*p mod Q agree modulo Q/g form one residue class: two of them
-    differ by k - k0 = j*Q/g, and H(u + k/Q) = H(u + k0/Q) + (j/g, 0).  So
-    H.forward runs once per class, at the exact rotation k0/Q of the class's
-    first time, on about ORBIT_CHUNK_POINTS points per call; each time of
-    the class is written straight away as that image rotated by j/g.  The
-    first time of each class gets the bits of a direct evaluation, the later
-    ones round differently, by about an ulp of input times the stack's
-    stretch.  Consecutive times are all first times up to Q/g of them, and
-    every time is one at g = 1.  With ``label``, a per-point map from (m, 2)
-    points to m values, the images are labelled as they are written, into a
-    time-major (len(times), n) array of ``dtype``, so the float orbit is
-    never held.
+    H commutes with R_{1/g} for g = gcd(H.period, Q), alpha = p/Q.  With
+    w = Q/g, times t and t + j*w differ in rotation by j*w*p/Q, which is
+    (j*p mod g)/g mod 1, so H(u + (t + j*w)*alpha) = H(u + t*alpha) +
+    ((j*p mod g)/g, 0).  H.forward therefore runs only at t < min(n_time, w),
+    at the exact rotation (t*p mod Q)/Q, on about ORBIT_CHUNK_POINTS points
+    per call, and each image is written at t, t + w, t + 2w, ... rotated by
+    (j*p mod g)/g.  Times below w get the bits of a direct evaluation; the
+    later ones round differently, by about an ulp of input times the stack's
+    stretch.  With ``label``, a per-point map from (m, 2) points to m
+    values, the images are labelled as they are written, into a time-major
+    (n_time, n) array of ``dtype``, so the float orbit is never held.
     """
     base = as_points(base)
     n = base.shape[0]
     p, Q = alpha.numerator, alpha.denominator
     g = math.gcd(H.period, Q)
-    width = Q // g
-    # each class's first k and its times, in order of first appearance
-    classes: dict[int, tuple[int, list[int]]] = {}
-    shift = np.empty(len(times))
-    for i, t in enumerate(times):
-        k = t * p % Q
-        k0, members = classes.setdefault(k % width, (k, []))
-        members.append(i)
-        shift[i] = ((k - k0) // width % g) / g
-    firsts = [k0 for k0, _ in classes.values()]
-    order = np.array([i for _, members in classes.values() for i in members], dtype=np.intp)
-    bounds = np.cumsum([0] + [len(members) for _, members in classes.values()])
-    slot = np.empty(len(times), dtype=np.intp)
-    slot[order] = np.repeat(np.arange(len(firsts)), np.diff(bounds))
+    w = Q // g
     if label is None:
-        out = np.empty((n, len(times), 2), dtype=dtype).transpose(1, 0, 2)
+        out = np.empty((n, n_time, 2), dtype=dtype).transpose(1, 0, 2)
     else:
-        out = np.empty((len(times), n), dtype=dtype)
+        out = np.empty((n_time, n), dtype=dtype)
     step = max(1, ORBIT_CHUNK_POINTS // max(n, 1))
-    for c0 in range(0, len(firsts), step):
-        ks = firsts[c0 : c0 + step]
-        pts = np.repeat(base[None], len(ks), axis=0)
-        pts[..., 0] = mod1(base[:, 0] + np.array([k / Q for k in ks])[:, None])
-        img = H.forward(pts.reshape(-1, 2)).reshape(len(ks), n, 2)
-        end = bounds[c0 + len(ks)]
-        for s0 in range(bounds[c0], end, step):
-            idx = order[s0 : min(s0 + step, end)]
-            moved = img[slot[idx] - c0]
-            moved[..., 0] = mod1(moved[..., 0] + shift[idx, None])
-            out[idx] = moved if label is None else label(moved.reshape(-1, 2)).reshape(len(idx), n)
+    for t0 in range(0, min(n_time, w), step):
+        ts = range(t0, min(t0 + step, n_time, w))
+        pts = np.repeat(base[None], len(ts), axis=0)
+        pts[..., 0] = mod1(base[:, 0] + np.array([t * p % Q / Q for t in ts])[:, None])
+        img = H.forward(pts.reshape(-1, 2)).reshape(len(ts), n, 2)
+        for j, s in enumerate(range(t0, n_time, w)):
+            moved = img[: n_time - s].copy()
+            moved[..., 0] = mod1(moved[..., 0] + j * p % g / g)
+            m = len(moved)
+            out[s : s + m] = moved if label is None else label(moved.reshape(-1, 2)).reshape(m, n)
     return out
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .complexity import grid_candidates
 from .diffeo import (
     Array,
     Composite,
@@ -37,16 +38,6 @@ class NormEstimate:
     fd_step: float
     excluded_fraction: float
     fd_discrepancy: float
-
-
-def _grid_points(g: int) -> Array:
-    if g < 1:
-        raise ValueError(f"grid must be >= 1, got {g}")
-    # grids sharing a factor with a map's cell count sample only g/q distinct
-    # local positions; callers should prefer sizes coprime to the cell counts
-    xs = (np.arange(g) + 0.5) / g
-    gx, gy = np.meshgrid(xs, xs, indexing="ij")
-    return np.stack([gx.ravel(), gy.ravel()], axis=-1)
 
 
 def _lifted_value_sup(node: MapNode, g: int, inverse: bool) -> float:
@@ -99,7 +90,7 @@ def triple_norm(
     excludes no point."""
     if k not in (0, 1, 2):
         raise ValueError("supported orders are k in {0, 1, 2}")
-    pts = _grid_points(grid)
+    pts = grid_candidates(grid)
     value0 = max(_lifted_value_sup(node, grid, False), _lifted_value_sup(node, grid, True))
     if k == 0:
         return NormEstimate(k, value0, grid, fd_step, 0.0, 0.0)
@@ -128,7 +119,7 @@ def dk_distance(
     stencils are kept for both maps."""
     if k not in (0, 1, 2):
         raise ValueError("supported orders are k in {0, 1, 2}")
-    pts = _grid_points(grid)
+    pts = grid_candidates(grid)
     offsets = stencil_offsets(fd_step, k)
     total = 0.0
     for inverse in (False, True):

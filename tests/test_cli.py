@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -548,3 +551,46 @@ def test_describe_uniquely_ergodic_skips_stage_without_staircase(tmp_path, capsy
     stage2, stage3 = out.split("stage n=3")
     assert "q=4," in stage2 and "rotation(alpha=0/1)" in stage2
     assert "quasi_rot_tiled(q=64" in stage3 and "vertical_step_shear(q=64" in stage3
+
+
+TRACED_RUN = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import tracer as tracing
+from slowtorus import cli
+
+tr = tracing.Tracer()
+tracing.install(tr)
+rc = tr.span("cli.run", cli.main, (["run", "--config", sys.argv[2]],))
+names = [name for name, _ in tracing.LAYER_METRICS]
+print(json.dumps({"rc": rc, "names": names, "metrics": tracing.layer_metrics(tr.spans, 1)}))
+"""
+
+
+def test_benchmark_tracer_reads_a_run(tmp_path):
+    # The benchmark tracer wraps package functions by name and reads their
+    # arguments (orbit_array's times, code_orbits' pts and n_time); a run
+    # under it pins those names and signatures.  It patches modules, so it
+    # runs in its own interpreter.
+    root = Path(__file__).resolve().parents[1]
+    cfg_path, _ = write_config(tmp_path, horizon_cap=64, hamming_samples=800)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # leave no bytecode beside the tracer
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(root / "slowbench"), str(cfg_path)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out["rc"] == 0
+    m = out["metrics"]
+    assert set(m) <= set(out["names"])
+    # grid 20 at the largest horizon, 64; 800 coded samples at that horizon
+    assert (m["complexity.orbit_array_calls"], m["complexity.orbit_array_evals"]) == (1, 400 * 64)
+    assert m["complexity.code_orbits_evals"] == 800 * 64
+    assert m["complexity.greedy_centers_calls"] == 3  # horizons 1, q = 8, 64
+    assert m["complexity.hamming_cover_calls"] == 1
+    for name in ("complexity.witness_untwisted_s", "diffeo.orbit_batch_s",
+                 "diffeo.orbit_images_s", "experiments.build_systems_s",
+                 "params.build_chain_s", "reporting.bytes_written"):
+        assert m[name] > 0, name

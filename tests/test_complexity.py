@@ -121,12 +121,12 @@ def test_explicit_candidate_list():
     assert np.array_equal(res.witnesses[0], pts[0])
 
 
-def test_stride_subsamples_orbit_times():
-    cfg = cx.BowenConfig(n_time=8, eps=0.3, grid=16, stride=2)
-    assert cfg.times() == [0, 2, 4, 6]
-    full = cx.min_cover(ROT_SYS, cx.BowenConfig(n_time=8, eps=0.3, grid=16))
-    strided = cx.min_cover(ROT_SYS, cfg)
-    assert strided == full  # isometry: sampling times cannot change counts
+@pytest.mark.parametrize("times", [[0, 1, 2], range(1, 4), range(0, 8, 2), 3])
+def test_orbit_array_takes_only_consecutive_times(times):
+    pts = np.array([[0.1, 0.1], [0.6, 0.7]])
+    with pytest.raises(ValueError, match="range"):
+        cx.orbit_array(ROT_SYS, pts, times)
+    assert cx.orbit_array(ROT_SYS, pts, range(3)).shape == (3, 2, 2)
 
 
 # -- witness sets ------------------------------------------------------------

@@ -448,14 +448,14 @@ def test_orbit_matches_naive_composition(untwisted_sys2):
 
 def test_orbit_images_chunking_is_bitwise(untwisted_sys2, monkeypatch):
     # several time slices per forward call, with a short last chunk, give
-    # the same bits as one slice per call: on 31 classes of one time, and on
-    # five classes of eight times each
+    # the same bits as one slice per call: on 31 times below w = Q/g = 512,
+    # and on 3 * 512 + 5 times, where the later ones are rotated copies
     seeds = np.array([[0.23, 0.57], [0.61, 0.08], [0.9, 0.33]])
-    for times in (range(31), [t + c * 512 for c in range(8) for t in range(5)]):
+    for n_time in (31, 3 * 512 + 5):
         monkeypatch.setattr(df, "ORBIT_CHUNK_POINTS", 7)
-        chunked = df.orbit_batch(untwisted_sys2, seeds, times)
+        chunked = df.orbit_batch(untwisted_sys2, seeds, n_time)
         monkeypatch.setattr(df, "ORBIT_CHUNK_POINTS", 1)
-        assert np.array_equal(chunked, df.orbit_batch(untwisted_sys2, seeds, times))
+        assert np.array_equal(chunked, df.orbit_batch(untwisted_sys2, seeds, n_time))
 
 
 def direct_orbit(sys, seeds, times, ulps=0):
@@ -488,20 +488,23 @@ def test_orbit_batch_residue_path_matches_direct_evaluation(name, steep, request
     # H(u + k/Q).  A steep stack stretches that rounding: there the bound is
     # twice the move of the direct orbit itself when its inputs move up by
     # one ulp.  Measured, against that move: 2.1e-13 against 2.1e-13 at ue
-    # stage 2, 2.9e-11 against 3.4e-11 at untwisted stage 3, 1.5e-11
-    # against 2.6e-10 at wm q2=8; 6.1e-14 at untwisted stage 2.
+    # stage 2, 3.9e-12 against 4.3e-12 on the untwisted stage-3 stack at
+    # alpha = 37/512, 1.5e-11 against 2.6e-10 at wm q2=8; 6.1e-14 at
+    # untwisted stage 2.
     sys = wm_systems[8] if name == "wm8" else request.getfixturevalue(name)
     assert sys.H.period == 8
+    if sys.q_next > 4096:
+        # the same steep stack under a shorter rotation, so one period of
+        # it still holds eight rotated copies of every evaluated time
+        sys = df.AbCSystem(H=sys.H, alpha_next=Fraction(37, 512), stage=sys.stage)
     rng = np.random.Generator(np.random.Philox(31))
     seeds = rng.random((40, 2))
-    # every time of one period of alpha, or whole residue classes spread
-    # over it: t, t + q/8, ..., t + 7q/8 share t's class
+    # every time of one period of alpha: t, t + q/8, ..., t + 7q/8 are
+    # rotated copies of the evaluation at t < q/8
     q = sys.q_next
+    got = df.orbit_batch(sys, seeds, q)
+    assert got.shape == (q, 40, 2)
     times = range(q)
-    if q > 4096:
-        times = [t + c * q // 8 for t in rng.integers(0, q // 8, 75).tolist() for c in range(8)]
-    got = df.orbit_batch(sys, seeds, times)
-    assert got.shape == (len(times), 40, 2)
     want = direct_orbit(sys, seeds, times)
     tol = 2 * tdist(direct_orbit(sys, seeds, times, ulps=1), want) if steep else 1e-13
     assert tdist(got, want) <= tol
@@ -520,10 +523,10 @@ def count_forward_points(monkeypatch, cls):
 
 
 def test_orbit_batch_evaluates_once_per_residue(untwisted_sys2, monkeypatch):
-    # g = gcd(8, 4096) = 8: 4096 times fall into 4096 / 8 = 512 residues
+    # g = gcd(8, 4096) = 8: only the first 4096 / 8 = 512 times are evaluated
     seen = count_forward_points(monkeypatch, df.Composite)
     seeds = np.random.Generator(np.random.Philox(5)).random((100, 2))
-    df.orbit_batch(untwisted_sys2, seeds, range(4096))
+    df.orbit_batch(untwisted_sys2, seeds, 4096)
     assert sum(seen) == 512 * 100
 
 
@@ -532,7 +535,7 @@ def test_orbit_batch_identity_stack_evaluates_once(monkeypatch):
     sysm = df.AbCSystem(H=df.Rotation(Fraction(0)), alpha_next=Fraction(3, 7), stage=stage(q=7))
     seen = count_forward_points(monkeypatch, df.Rotation)
     seeds = np.array([[0.1, 0.2], [0.4, 0.9], [0.75, 0.5]])
-    orb = df.orbit_batch(sysm, seeds, range(20))
+    orb = df.orbit_batch(sysm, seeds, 20)
     assert sum(seen) == 3
     want = df.mod1(seeds[None, :, 0] + np.array([(3 * t % 7) / 7 for t in range(20)])[:, None])
     assert tdist(orb[..., 0], want) <= 1e-15
@@ -540,19 +543,11 @@ def test_orbit_batch_identity_stack_evaluates_once(monkeypatch):
 
 
 def test_orbit_batch_first_times_of_classes_are_direct(untwisted_sys2):
-    # up to Q/g = 512 consecutive times each open their own class, so each
-    # is evaluated at its exact rotation: the same bits as direct evaluation
+    # the first w = Q/g = 512 times are each evaluated at their exact
+    # rotation: the same bits as direct evaluation
     seeds = np.random.Generator(np.random.Philox(6)).random((30, 2))
-    assert np.array_equal(df.orbit_batch(untwisted_sys2, seeds, range(512)),
+    assert np.array_equal(df.orbit_batch(untwisted_sys2, seeds, 512),
                           direct_orbit(untwisted_sys2, seeds, range(512)))
-
-
-def test_orbit_stride():
-    st = stage(q=5, l=1, lp=8)
-    sysm = df.AbCSystem(H=df.Rotation(Fraction(0)), alpha_next=Fraction(1, 5), stage=st)
-    orb = df.orbit(sysm, np.array([0.0, 0.2]), 10, stride=2)
-    assert orb.shape == (5, 2)
-    assert np.allclose(orb[:, 0], [0.0, 2 / 5, 4 / 5, 1 / 5, 3 / 5], atol=1e-15)
 
 
 # -- inverse roundtrips across node kinds ------------------------------------

@@ -120,7 +120,7 @@ def test_identity_stages_below_twist_floor():
     sys1 = built.system(1)
     rng = np.random.Generator(np.random.Philox(25))
     pts = rng.random((100, 2))
-    orb = cx.orbit_array(sys1, pts, [0, 1])
+    orb = cx.orbit_array(sys1, pts, range(2))
     shift = float(sys1.alpha_next % 1)
     expect = pts.copy()
     expect[:, 0] = (expect[:, 0] + shift) % 1.0
