@@ -152,10 +152,6 @@ def _parse_horizons(cfg: ExperimentConfig) -> list[Callable[[params.StageParams]
     return out
 
 
-def _resolve_horizons(cfg: ExperimentConfig, stage: params.StageParams) -> list[int]:
-    return sorted({min(h(stage), cfg.horizon_cap) for h in _parse_horizons(cfg)})
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -209,7 +205,7 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> int:
         for eps in cfg.eps_list:
             cx.check_grid(cfg.grid, eps)
         cx.check_samples(cfg.hamming_samples, max(cfg.eps_list))
-        _parse_horizons(cfg)
+        horizon_fns = _parse_horizons(cfg)
         part = cx.GridPartition(cfg.hamming_partition, cfg.hamming_partition)
         fams = [(fam, list(cfg.t_grid)) for fam in cfg.scale_families()]
         if any(t <= 0 for t in cfg.t_grid):
@@ -221,8 +217,11 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> int:
     if built is None:
         return EXIT_CONSTRUCTION
     outdir = Path(cfg.outdir)
-    measured = [st for st in built.chain if cfg.n_min <= st.n <= cfg.n_max]
-    horizons = {st.n: _resolve_horizons(cfg, st) for st in measured}
+    stages = zip(built.chain, built.selections)
+    measured = [(st, sel) for st, sel in stages if cfg.n_min <= st.n <= cfg.n_max]
+    horizons = {
+        st.n: sorted({min(h(st), cfg.horizon_cap) for h in horizon_fns}) for st, _ in measured
+    }
     # the report normalizes every count at a horizon >= 2 by each family
     try:
         for m in sorted({m for hs in horizons.values() for m in hs if m >= 2}):
@@ -247,7 +246,7 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> int:
     records: list[cx.CountRecord] = []
     summary: list[str] = []
     eps_h = max(cfg.eps_list)
-    for st in measured:
+    for st, sel in measured:
         sys_n = built.system(st.n)
         # the stage's orbit array lives only inside bowen_counts, so it is
         # released before the Hamming words are built
@@ -270,7 +269,6 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> int:
                 f"(count={wit.count}, expected={wit.expected_count}, "
                 f"min separation={wit.min_pair_separation:.6g})"
             )
-        sel = built.selections[[s.n for s in built.chain].index(st.n)]
         if sel is not None:
             reporting.write_with_header(
                 outdir / f"selection_stage{st.n}.txt", cfg, sel.to_text()

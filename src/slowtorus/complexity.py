@@ -264,8 +264,6 @@ def pairwise_bowen(orbits: Array) -> Array:
 class WitnessReport:
     count: int
     expected_count: int
-    points: Array
-    images: Array
     horizon: int
     eps: float
     all_separated: bool
@@ -308,7 +306,7 @@ def witness_untwisted(
         horizon = max_horizon
         partial = True
     base = witness_set(st.q, float(st.eps), eps, i0=i0)
-    expected = (st.q // 2) * (int(math.floor(1.0 / (4.0 * eps))) + 1)
+    expected = len(base)
     if len(base) > max_points:
         base = base[:max_points]
         partial = True
@@ -324,8 +322,6 @@ def witness_untwisted(
     return WitnessReport(
         count=n,
         expected_count=expected,
-        points=base,
-        images=orbs[0].copy(),
         horizon=horizon,
         eps=eps,
         all_separated=not failures,

@@ -61,11 +61,7 @@ class BuiltChain:
         )
         H: MapNode = Composite(nodes=maps) if maps else Rotation(Fraction(0))
         stage = self.chain[idx]
-        if idx + 1 < len(self.chain):
-            alpha_next = self.chain[idx + 1].alpha
-        else:
-            alpha_next = stage.alpha + stage.beta
-        return AbCSystem(H=H, alpha_next=alpha_next, stage=stage)
+        return AbCSystem(H=H, alpha_next=stage.alpha_next, stage=stage)
 
 
 def _is_identity(node: MapNode) -> bool:

@@ -67,45 +67,55 @@ class StageParams:
             raise ValueError("alpha must equal p/q exactly")
 
     @property
-    def beta(self) -> Fraction:
-        """Rotation-number increment applied on the step to the next stage."""
-        return Fraction(1, self.k * self.l * self.q * self.q)
-
-    @property
     def q_next(self) -> int:
         return self.k * self.l * self.q * self.q
 
+    @property
+    def p_next(self) -> int:
+        return self.k * self.l * self.q * self.p + 1
+
+    @property
+    def beta(self) -> Fraction:
+        """Rotation-number increment applied on the step to the next stage."""
+        return Fraction(1, self.q_next)
+
+    @property
+    def alpha_next(self) -> Fraction:
+        return self.alpha + self.beta
+
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p": str(self.p),
-            "q": str(self.q),
-            "k": self.k,
-            "l": str(self.l),
-            "l_prime": str(self.l_prime),
-            "alpha": f"{self.alpha.numerator}/{self.alpha.denominator}",
-            "eps": f"{self.eps.numerator}/{self.eps.denominator}",
-            "m_smooth": self.m_smooth,
-        }
+        return {f: enc(getattr(self, f)) for f, (enc, _) in _STAGE_CODECS.items()}
 
     @staticmethod
     def from_dict(d: dict) -> "StageParams":
         try:
-            an, ad = d["alpha"].split("/")
-            en, ed = d["eps"].split("/")
-            return StageParams(
-                n=int(d["n"]),
-                p=int(d["p"]),
-                q=int(d["q"]),
-                k=int(d["k"]),
-                l=int(d["l"]),
-                l_prime=int(d["l_prime"]),
-                alpha=Fraction(int(an), int(ad)),
-                eps=Fraction(int(en), int(ed)),
-                m_smooth=int(d["m_smooth"]),
-            )
-        except (KeyError, ValueError) as exc:
+            return StageParams(**{f: dec(d[f]) for f, (_, dec) in _STAGE_CODECS.items()})
+        except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
             raise ChainFormatError(f"bad stage record: {exc}") from exc
+
+
+def _ratio(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _parse_ratio(s: str) -> Fraction:
+    num, den = s.split("/")
+    return Fraction(int(num), int(den))
+
+
+# (encode, decode) per StageParams field: small ints stay JSON ints, big ones
+# are decimal strings, rationals are "p/q"
+_STAGE_CODECS = {
+    "n": (int, int),
+    "p": (str, int),
+    "q": (str, int),
+    "k": (int, int),
+    "l": (str, int),
+    "l_prime": (str, int),
+    "alpha": (_ratio, _parse_ratio),
+    "eps": (_ratio, _parse_ratio),
+    "m_smooth": (int, int),
+}
 
 
 @dataclass(frozen=True)
@@ -217,64 +227,30 @@ class ParamProfile:
                 return step.m_smooth
         return max(0, n - 1)
 
-    def first_stage(self) -> StageParams:
-        k, l, lp = self.multipliers_for(1, self.q1)
+    def stage(self, n: int, p: int, q: int) -> StageParams:
+        """Stage n with rotation number p/q and this profile's multipliers,
+        width and smoothness for it."""
+        k, l, lp = self.multipliers_for(n, q)
         return StageParams(
-            n=1,
-            p=1,
-            q=self.q1,
+            n=n,
+            p=p,
+            q=q,
             k=k,
             l=l,
             l_prime=lp,
-            alpha=Fraction(1, self.q1),
-            eps=self.eps_for(1, self.q1),
-            m_smooth=self.m_for(1),
+            alpha=Fraction(p, q),
+            eps=self.eps_for(n, q),
+            m_smooth=self.m_for(n),
         )
 
+    def first_stage(self) -> StageParams:
+        return self.stage(1, 1, self.q1)
 
-def advance_stage(
-    prev: StageParams,
-    profile: ParamProfile,
-    norm_hint: Optional[float] = None,
-) -> StageParams:
-    """Produce stage n+1 from stage n under the given profile.
 
-    The step uses the multipliers carried by ``prev`` (fixed when prev was
-    built), so successor consistency is exact by construction.  When
-    norm_hint (an estimate of the new stage map's first-order norm) is
-    supplied, the new stage's l must be >= ceil(norm_hint) * l_prime; a
-    custom schedule is raised to meet it, a fixed regime whose l falls short
-    is infeasible and the error names the constraint.
-    """
-    n = prev.n
-    k, l = prev.k, prev.l
-    q2 = k * l * prev.q * prev.q
-    p2 = k * l * prev.q * prev.p + 1
-    alpha2 = prev.alpha + prev.beta
-    if alpha2 != Fraction(p2, q2):
-        raise AssertionError("rotation-number recursion out of sync")
-    k2, l2, lp2 = profile.multipliers_for(n + 1, q2)
-    if norm_hint is not None:
-        need = math.ceil(norm_hint) * lp2
-        if l2 < need:
-            if profile.regime == "custom":
-                l2 = need
-            else:
-                raise ProfileError(
-                    f"stage {n + 1}: l = {l2} violates "
-                    f"l >= ceil(norm_hint)*l_prime = {need}"
-                )
-    return StageParams(
-        n=n + 1,
-        p=p2,
-        q=q2,
-        k=k2,
-        l=l2,
-        l_prime=lp2,
-        alpha=alpha2,
-        eps=profile.eps_for(n + 1, q2),
-        m_smooth=profile.m_for(n + 1),
-    )
+def advance_stage(prev: StageParams, profile: ParamProfile) -> StageParams:
+    """Stage n+1 from stage n: the step uses the multipliers ``prev`` carries,
+    so successor consistency is exact by construction."""
+    return profile.stage(prev.n + 1, prev.p_next, prev.q_next)
 
 
 def build_chain(profile: ParamProfile, n_max: int) -> list[StageParams]:
@@ -365,17 +341,8 @@ def validate_chain(chain: Sequence[StageParams], profile: ParamProfile) -> Valid
         raise ValueError("chain must have at least two stages")
     results: list[CheckResult] = []
     for a, b in zip(chain, chain[1:]):
-        ok_q = b.q == a.k * a.l * a.q * a.q
-        ok_a = b.alpha - a.alpha == a.beta and b.alpha == Fraction(b.p, b.q)
-        results.append(
-            CheckResult(
-                "successor",
-                b.n,
-                ok_q and ok_a,
-                True,
-                f"q={b.q} alpha={b.alpha}",
-            )
-        )
+        ok = b.q == a.q_next and b.alpha == a.alpha_next
+        results.append(CheckResult("successor", b.n, ok, True, f"q={b.q} alpha={b.alpha}"))
     partial = Fraction(0)
     for st in chain:
         partial += Fraction(1, st.l_prime)
@@ -445,10 +412,17 @@ def chain_to_json(chain: Sequence[StageParams]) -> str:
 
 
 def chain_from_json(text: str) -> list[StageParams]:
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or "stages" not in doc:
-        raise ChainFormatError("missing 'stages'")
-    major = int(doc.get("schema_version", 0))
+    """Inverse of ``chain_to_json``; ChainFormatError on any malformed input."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ChainFormatError(f"not JSON: {exc}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("stages"), list):
+        raise ChainFormatError("missing 'stages' list")
+    try:
+        major = int(doc.get("schema_version", 0))
+    except (TypeError, ValueError) as exc:
+        raise ChainFormatError(f"bad schema_version: {exc}") from exc
     if major > SCHEMA_VERSION:
         raise ChainFormatError(f"unsupported schema_version {major}")
     return [StageParams.from_dict(d) for d in doc["stages"]]

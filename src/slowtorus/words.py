@@ -126,8 +126,9 @@ class SelectionReport:
     min_pairwise_per_shift: Array  # (n_shifts,) inf where no pair exists
     min_self_sliding: float
     worst_pair: tuple[int, int, int, float]  # (i, j, t, distance)
-    # the later word of every violating (i, j, t), in scan order: t first,
-    # then row-major over (i, j); sample_selection resamples in this order
+    # the later word of every violating (i, j, t), added in scan order (t
+    # first, then row-major over (i, j)); sample_selection resamples in the
+    # set's iteration order, which is hash-slot order (see verify_selection)
     failing: set[int]
 
     @property
@@ -168,8 +169,8 @@ def verify_selection(sel: WordSelection) -> SelectionReport:
     1 - m/o in float64; its verdict and failing words come from the integer
     test alone.  Each reduction keeps the order of a scan over the shifts,
     row-major over (i, j) within a shift: the first maximum per shift, the
-    first minimum over the shifts (pair before self), and ``failing`` in
-    the order its words first violate.
+    first minimum over the shifts (pair before self), and ``failing`` filled
+    in the order its words first violate.
     """
     s, k = sel.alphabet_size, sel.k
     words = np.asarray(sel.words)
@@ -276,8 +277,10 @@ def verify_selection(sel: WordSelection) -> SelectionReport:
         else:
             i, j = divmod(nn - 1 - int(pair_at[t]), n)
             worst = (i, j, t, float(min_pair[t]))
-    # resample the later word of each offending pair; a set's iteration
-    # order follows its insertions, so insert in scan order
+    # resample the later word of each offending pair.  A set of ints iterates
+    # in hash-slot order (value modulo table size: 30, 3, 17 iterate 17, 3,
+    # 30); insertion order only decides which of two colliding ints comes
+    # first, so insert in scan order to fix that choice
     hit = np.flatnonzero(first_viol != no_viol)
     failing = set(hit[np.argsort(first_viol[hit])].tolist())
     return SelectionReport(

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from slowtorus.params import (
+    ChainFormatError,
     CustomStep,
     ParamProfile,
     ProfileError,
@@ -41,27 +43,6 @@ def test_intermediate_regime_target_at_stage_two():
     assert s2.k == 1 and s2.l == 4**14
     assert s3.q == 4**16
     assert s3.q == s2.q ** (2**4)
-
-
-def test_norm_hint_raises_custom_l():
-    # ceil(7.3) * l_prime = 8 * 10 = 80
-    prof = ParamProfile(
-        regime="custom",
-        q1=2,
-        relax_eps=True,
-        custom=(CustomStep(1, 2, 4), CustomStep(1, 5, 10)),
-    )
-    s1 = prof.first_stage()
-    s2 = advance_stage(s1, prof, norm_hint=7.3)
-    assert s2.l_prime == 10
-    assert s2.l >= 80
-
-
-def test_norm_hint_infeasible_in_fixed_regime():
-    prof = intermediate_profile()
-    s1 = prof.first_stage()
-    with pytest.raises(ProfileError, match="l_prime"):
-        advance_stage(s1, prof, norm_hint=float(4**20))
 
 
 def test_idealized_sequence_values():
@@ -124,19 +105,29 @@ def test_validate_flags_large_eps():
     assert ("eps_small", 3) in fails
 
 
-def test_successor_consistency_detects_tampering():
+@pytest.mark.parametrize(
+    "scale, shift",
+    [
+        # alpha shifted by 1: same fraction class, wrong p
+        pytest.param(1, 1, id="alpha-shifted"),
+        # p and q doubled: alpha unchanged, q off the recursion
+        pytest.param(2, 0, id="p-q-doubled"),
+    ],
+)
+def test_successor_consistency_detects_tampering(scale, shift):
     prof = intermediate_profile()
     chain = build_chain(prof, 2)
+    good = chain[1]
     bad = StageParams(
         n=2,
-        p=chain[1].p + chain[1].q,  # alpha shifted by 1: same fraction class, wrong p
-        q=chain[1].q,
-        k=chain[1].k,
-        l=chain[1].l,
-        l_prime=chain[1].l_prime,
-        alpha=chain[1].alpha + 1,
-        eps=chain[1].eps,
-        m_smooth=chain[1].m_smooth,
+        p=scale * good.p + shift * good.q,
+        q=scale * good.q,
+        k=good.k,
+        l=good.l,
+        l_prime=good.l_prime,
+        alpha=good.alpha + shift,
+        eps=good.eps,
+        m_smooth=good.m_smooth,
     )
     rep = validate_chain([chain[0], bad], prof)
     assert not rep.passed
@@ -161,6 +152,30 @@ def test_serialization_roundtrip_bit_exact():
     again = chain_from_json(text)
     assert again == chain
     assert chain_to_json(again) == text
+
+
+def _stage_doc(**changes):
+    """A one-stage chain document with some stage fields replaced."""
+    rec = build_chain(intermediate_profile(), 1)[0].to_dict()
+    return json.dumps({"schema_version": 1, "stages": [{**rec, **changes}]})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(_stage_doc(alpha="1/0"), id="alpha-zero-denominator"),
+        pytest.param(_stage_doc(eps="1/0"), id="eps-zero-denominator"),
+        pytest.param(_stage_doc(alpha=5), id="alpha-int"),
+        pytest.param(_stage_doc(n=None), id="n-null"),
+        pytest.param(json.dumps({"schema_version": 1, "stages": 3}), id="stages-int"),
+        pytest.param(json.dumps({"schema_version": 1, "stages": [1]}), id="stage-int"),
+        pytest.param(json.dumps({"schema_version": "x", "stages": []}), id="version-str"),
+        pytest.param("not json", id="not-json"),
+    ],
+)
+def test_malformed_chain_raises_chain_format_error(text):
+    with pytest.raises(ChainFormatError):
+        chain_from_json(text)
 
 
 def test_eps_schedule_exact_and_relaxed():
