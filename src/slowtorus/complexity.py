@@ -12,10 +12,11 @@ S(2e) <= N(e) <= S(e) holds exactly, ties included):
 
 Bowen and Hamming covers run one greedy loop, which builds each candidate's
 distance to the new center chunk by chunk (a running max of torus distances
-over 64 times, a running count of mismatches over 512 positions) and drops
-the candidate once that partial distance reaches the radius.  The drop is
-exact: a max over more times and a count over more positions can only grow,
-and the counts are integers, so every result equals that of full distances.
+over chunks of 1, 2, 4, ... times, doubling up to 256; a running count of
+mismatches over 512 positions at a time) and drops the candidate once that
+partial distance reaches the radius.  The drop is exact: a max over more
+times and a count over more positions can only grow, and the counts are
+integers, so every result equals that of full distances.
 
 Greedy results are bounds, not extremal values: a separated count is a lower
 bound for the maximal packing of the grid, a cover count an upper bound for
@@ -34,7 +35,7 @@ from . import diffeo
 from .diffeo import AbCSystem, Array, MapNode, as_points, mod1, orbit_batch, torus_dist
 from .scaling import ScalingFamily, eval_log
 
-_TIME_CHUNK = 64  # orbit times per Bowen distance chunk
+_TIME_CHUNK = 256  # widest Bowen distance chunk, in orbit times; the first is one time
 _WORD_CHUNK = 512  # word positions per Hamming mismatch chunk
 
 
@@ -148,9 +149,19 @@ def orbit_array(sys: AbCSystem, candidates: Array, times: range) -> Array:
     return orbit_batch(sys, candidates, len(times))
 
 
+def _chunk_bounds(T: int, first: int, widest: int) -> list[int]:
+    """Chunk edges 0 = b0 < b1 < ... = T: the first chunk is ``first`` wide
+    and each next one twice the last, up to ``widest``."""
+    bounds, width = [0], first
+    while bounds[-1] < T:
+        bounds.append(min(bounds[-1] + width, T))
+        width = min(2 * width, widest)
+    return bounds
+
+
 def _greedy_balls(
     items: Array,
-    chunk: int,
+    bounds: Sequence[int],
     part_dist: Callable[[Array, Array], Array],
     combine: Callable[[Array, Array], Array],
     radius,
@@ -159,15 +170,16 @@ def _greedy_balls(
     """Greedy cover of the rows of an item-major (n, T, ...) array by open
     balls: open a ball at the first uncovered item and cover every uncovered
     item whose distance to it is < radius; stop once ``need`` items are
-    covered (default: all).  The distance is accumulated chunk by chunk,
+    covered (default: all).  The distance is accumulated chunk by chunk, over
+    the columns between consecutive ``bounds``,
     ``d = combine(d, part_dist(items[live, t0:t1], items[c, t0:t1]))``, and
     an item is dropped as soon as ``d >= radius``.  ``combine`` must never
     lower ``d`` (a running max, a sum of counts), so a dropped item would
     have stayed outside the ball and the result equals that of full
-    distances.  Once the center is the only item left (its distance to
-    itself stays 0), the remaining chunks are skipped.
+    distances, whatever the chunks.  Once the center is the only item left
+    (its distance to itself stays 0), the remaining chunks are skipped.
     Returns (centers, covered items)."""
-    n, T = items.shape[:2]
+    n = items.shape[0]
     need = n if need is None else need
     covered = np.zeros(n, dtype=bool)
     centers: list[int] = []
@@ -180,8 +192,8 @@ def _greedy_balls(
         centers.append(c)
         live = np.flatnonzero(~covered)
         d = 0
-        for t0 in range(0, T, chunk):
-            d = combine(d, part_dist(items[live, t0 : t0 + chunk], items[c, t0 : t0 + chunk]))
+        for t0, t1 in zip(bounds, bounds[1:]):
+            d = combine(d, part_dist(items[live, t0:t1], items[c, t0:t1]))
             keep = d < radius
             live, d = live[keep], d[keep]
             if len(live) == 1:
@@ -199,11 +211,14 @@ def greedy_centers(orbits: Array, eps: float) -> list[int]:
     eps-balls, so its size is simultaneously a lower bound for the maximal
     packing and an upper bound for the minimal cover of the grid.  The orbits
     are read point-major, which is contiguous for the views orbit_array
-    returns.
+    returns.  The first chunk of times is time 0 alone, which already drops
+    every candidate that starts eps or more from the center (on a grid, all
+    but a few neighbours), and each later chunk doubles, up to _TIME_CHUNK
+    times.
     """
     return _greedy_balls(
         orbits.transpose(1, 0, 2),
-        _TIME_CHUNK,
+        _chunk_bounds(orbits.shape[0], 1, _TIME_CHUNK),
         lambda a, b: torus_dist(a, b).max(axis=1),
         np.maximum,
         eps,
@@ -315,10 +330,8 @@ def witness_untwisted(
     n = base.shape[0]
     iu = np.triu_indices(n, k=1)
     pair_min = dmat[iu]
-    failures = []
-    for i, j, d in zip(iu[0], iu[1], pair_min):
-        if d < eps:
-            failures.append((int(i), int(j), float(d)))
+    bad = np.flatnonzero(pair_min < eps)
+    failures = tuple(zip(iu[0][bad].tolist(), iu[1][bad].tolist(), pair_min[bad].tolist()))
     return WitnessReport(
         count=n,
         expected_count=expected,
@@ -326,7 +339,7 @@ def witness_untwisted(
         eps=eps,
         all_separated=not failures,
         min_pair_separation=float(pair_min.min()) if pair_min.size else math.inf,
-        failures=tuple(failures),
+        failures=failures,
         partial=partial,
     )
 
@@ -386,14 +399,16 @@ def hamming_greedy(words: Array, eps: float) -> tuple[int, int]:
     stop once at least (1 - eps)*n words are covered.  Both rules are exact:
     eps is read as the rational value of the float, and the integer mismatch
     counts are held against the Python int ceil(eps*T), which cannot overflow.
-    Mismatches are counted in _WORD_CHUNK-position chunks, and a word leaves
-    the ball's candidates once its count reaches the radius.
+    Mismatches are counted in _WORD_CHUNK-position chunks, as the set bits
+    of the packed mismatch masks, and a word leaves the ball's candidates
+    once its count reaches the radius.  The chunks do not start small, as
+    the Bowen ones do: fewer positions than the radius cannot drop a word.
     Returns (balls, covered words)."""
     eps = Fraction(eps)
     centers, covered = _greedy_balls(
         words,
-        _WORD_CHUNK,
-        lambda a, b: np.count_nonzero(a != b, axis=1),
+        _chunk_bounds(words.shape[1], _WORD_CHUNK, _WORD_CHUNK),
+        lambda a, b: np.bitwise_count(np.packbits(a != b, axis=1)).sum(axis=1),
         np.add,
         math.ceil(eps * words.shape[1]),
         need=(1 - eps) * words.shape[0],

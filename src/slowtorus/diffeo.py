@@ -63,7 +63,7 @@ def torus_dist(p: Array, q: Array) -> Array:
     """Sup metric on the torus: max of coordinatewise circle distances."""
     d = np.abs(p - q)
     d = np.minimum(d, 1.0 - d)
-    return np.max(d, axis=-1)
+    return np.maximum(d[..., 0], d[..., 1])
 
 
 def circle_diff(a: Array, b: Array) -> Array:

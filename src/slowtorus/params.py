@@ -103,18 +103,25 @@ def _parse_ratio(s: str) -> Fraction:
     return Fraction(int(num), int(den))
 
 
+def _json_int(x) -> int:
+    """A JSON integer as it was written: no float, bool or string."""
+    if type(x) is not int:
+        raise TypeError(f"expected a JSON integer, got {x!r}")
+    return x
+
+
 # (encode, decode) per StageParams field: small ints stay JSON ints, big ones
 # are decimal strings, rationals are "p/q"
 _STAGE_CODECS = {
-    "n": (int, int),
+    "n": (int, _json_int),
     "p": (str, int),
     "q": (str, int),
-    "k": (int, int),
+    "k": (int, _json_int),
     "l": (str, int),
     "l_prime": (str, int),
     "alpha": (_ratio, _parse_ratio),
     "eps": (_ratio, _parse_ratio),
-    "m_smooth": (int, int),
+    "m_smooth": (int, _json_int),
 }
 
 

@@ -290,17 +290,32 @@ def lattice_orbits(draw):
 
 
 def _bowen_tie_case():
-    # eps = 4/32 and T = 100 (two time chunks).  Point 1 is at distance
-    # exactly eps from point 0 at t=64 only, the first time of the second
-    # chunk, and point 4 at t=99 only, the last time: both stay out of the
-    # ball.  Point 2 is just inside; point 3 is out at t=63 only, the last
-    # time of the first chunk
-    buf = np.zeros((5, 100, 2))
-    buf[1, 64, 0] = 4 / 32
-    buf[2, 70, 0] = 3 / 32
-    buf[3, 63, 1] = 5 / 32
-    buf[4, 99, 1] = 4 / 32
-    return buf.transpose(1, 0, 2), 100, 4 / 32
+    # eps = 4/32 and T = 600, read in chunks of 1, 2, 4, ..., 128 times, then
+    # 256 and 89: edges 0, 1, 3, 7, 15, 31, 63, 127, 255, 511, 600.  Each
+    # tie point sits at exactly eps from point 0 at one time only, so it stays
+    # out of the ball: point 1 at t=0, the whole first chunk; point 3 at
+    # t=6 and point 4 at t=7, the last and first times of a doubled chunk;
+    # point 5 at t=254 and point 6 at t=255, either side of the first chunk
+    # at the cap; point 7 at t=511, the first time past the first chunk at
+    # the cap, where the width stops doubling; point 8 at t=599, the last
+    # time.  Point 2 is just inside the ball
+    buf = np.zeros((9, 600, 2))
+    buf[1, 0, 0] = 4 / 32
+    buf[2, 5, 0] = 3 / 32
+    buf[3, 6, 1] = 4 / 32
+    buf[4, 7, 0] = 4 / 32
+    buf[5, 254, 1] = 4 / 32
+    buf[6, 255, 0] = 4 / 32
+    buf[7, 511, 1] = 4 / 32
+    buf[8, 599, 0] = 4 / 32
+    return buf.transpose(1, 0, 2), 600, 4 / 32
+
+
+def test_bowen_chunks_double_up_to_the_cap():
+    assert cx._chunk_bounds(600, 1, cx._TIME_CHUNK) == [0, 1, 3, 7, 15, 31, 63, 127, 255, 511, 600]
+    assert cx._chunk_bounds(1, 1, cx._TIME_CHUNK) == [0, 1]
+    orbits, m, eps = _bowen_tie_case()
+    assert cx.greedy_centers(orbits, eps) == [0, 1, 3, 4, 5, 6, 7, 8]
 
 
 @settings(max_examples=60, deadline=None)
@@ -311,11 +326,25 @@ def test_greedy_centers_matches_full_distances(case):
     assert cx.greedy_centers(orbits[:m], eps) == reference_greedy_centers(orbits[:m], eps)
 
 
+def test_greedy_centers_matches_full_distances_on_readme_orbits(untwisted_sys2):
+    # the README grid over its first 64 orbit times, where 6611 pairs sit at
+    # Bowen distance exactly 1/8: each must be decided the same way by the
+    # chunked greedy as by full distances
+    orbits = cx.orbit_array(untwisted_sys2, cx.grid_candidates(32), range(64))
+    ties = 0
+    for c in range(orbits.shape[1]):
+        d = df.torus_dist(orbits[:, c + 1 :], orbits[:, c : c + 1]).max(axis=0)
+        ties += int(np.count_nonzero(d == 0.125))
+    assert ties == 6611
+    assert cx.greedy_centers(orbits, 0.125) == reference_greedy_centers(orbits, 0.125)
+
+
 @hst.composite
 def near_words(draw):
     """(words, eps): up to 10 words of length T < 1300 over 3 symbols, each a
     copy of an earlier word with about ceil(eps*T) positions changed, spread
-    over the whole word."""
+    over the whole word.  The symbols are 0, 1, 2 as uint8, or 0, 256, 512 as
+    uint16, which share their low byte."""
     T = draw(hst.integers(min_value=1, max_value=1300))
     n = draw(hst.integers(min_value=1, max_value=10))
     eps = draw(hst.sampled_from([1 / 16, 0.1, 1 / 8, 0.3, 1 / 3]))
@@ -328,6 +357,8 @@ def near_words(draw):
         pos = rng.choice(T, size=min(max(changes, 0), T), replace=False)
         words[i] = words[draw(hst.integers(min_value=0, max_value=i - 1))]
         words[i, pos] = (words[i, pos] + rng.integers(1, 3, size=len(pos))) % 3
+    if draw(hst.booleans()):
+        words = words.astype(np.uint16) * 256
     return words, eps
 
 
@@ -350,10 +381,25 @@ def _hamming_stop_case():
     return words, 1 / 8
 
 
+def _hamming_wide_alphabet_case():
+    # 300 cells as uint16 words of T=1001, which is no multiple of 8, so the
+    # packed mismatch mask of the second chunk (positions 512-1000) ends in
+    # a padded byte.  eps=1/8: radius ceil(125.125) = 126.  Word 1 has exactly
+    # 126 mismatches with word 0, up to the last position, and opens a second
+    # ball; word 2 has 125 and is covered by the first; word 3 has 126 across
+    # the chunk edge and opens a third: (3, 4).  A changed symbol v becomes
+    # (v + 256) % 300, so v < 44 keeps its low byte
+    words = np.tile(np.arange(1001, dtype=np.uint16) % 300, (4, 1))
+    for i, pos in ((1, slice(875, 1001)), (2, slice(876, 1001)), (3, slice(449, 575))):
+        words[i, pos] = (words[i, pos] + 256) % 300
+    return words, 1 / 8
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=near_words())
 @example(case=_hamming_tie_case())
 @example(case=_hamming_stop_case())
+@example(case=_hamming_wide_alphabet_case())
 def test_hamming_greedy_matches_full_counts(case):
     words, eps = case
     assert cx.hamming_greedy(words, eps) == reference_hamming_greedy(words, eps)

@@ -167,6 +167,9 @@ def _stage_doc(**changes):
         pytest.param(_stage_doc(eps="1/0"), id="eps-zero-denominator"),
         pytest.param(_stage_doc(alpha=5), id="alpha-int"),
         pytest.param(_stage_doc(n=None), id="n-null"),
+        pytest.param(_stage_doc(n=1.9), id="n-float"),
+        pytest.param(_stage_doc(k=True), id="k-bool"),
+        pytest.param(_stage_doc(m_smooth=0.5), id="m_smooth-float"),
         pytest.param(json.dumps({"schema_version": 1, "stages": 3}), id="stages-int"),
         pytest.param(json.dumps({"schema_version": 1, "stages": [1]}), id="stage-int"),
         pytest.param(json.dumps({"schema_version": "x", "stages": []}), id="version-str"),
