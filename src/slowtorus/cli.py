@@ -196,7 +196,9 @@ def _build_or_report(cfg: ExperimentConfig) -> Optional[BuiltChain]:
 
 def _budget_estimate(cfg: ExperimentConfig, max_horizons: Sequence[int]) -> float:
     """Orbit evaluations of a run: per measured stage, the grid and the
-    Hamming samples, each followed to the stage's largest horizon."""
+    Hamming samples, each followed to the stage's largest horizon.  Every
+    time up to the horizon is counted, so this is an upper bound: the counts
+    read only the times below one symmetry period (see complexity)."""
     return float(sum((cfg.grid * cfg.grid + cfg.hamming_samples) * m for m in max_horizons))
 
 

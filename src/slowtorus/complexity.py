@@ -18,6 +18,18 @@ partial distance reaches the radius.  The drop is exact: a max over more
 times and a count over more positions can only grow, and the counts are
 integers, so every result equals that of full distances.
 
+Counts over T orbit times read only the first min(T, w) of them, with w the
+system's orbit period (diffeo.orbit_period): the orbit at time t + j*w is the
+orbit at time t rotated horizontally by a multiple of 1/g.  That rotation is
+an isometry of the sup metric, so a Bowen max over T times is the max over
+the first w, and it permutes the cells of a partition whose period g
+divides, so a Hamming word's mismatches at t + j*w are those at t.  Folded,
+column t < w of a word stands for the times t, t + w, ... < T: with
+J, r = divmod(T, w) it weighs J + 1 for t < r and J otherwise, and the
+weighted mismatch count equals the count over all T times.  In floats the
+rotated copies can round differently, so the fold agrees with unfolded
+orbits except where a distance sits within rounding of the radius.
+
 Greedy results are bounds, not extremal values: a separated count is a lower
 bound for the maximal packing of the grid, a cover count an upper bound for
 the minimal cover of the grid.
@@ -36,7 +48,7 @@ from .diffeo import AbCSystem, Array, MapNode, as_points, mod1, orbit_batch, tor
 from .scaling import ScalingFamily, eval_log
 
 _TIME_CHUNK = 256  # widest Bowen distance chunk, in orbit times; the first is one time
-_WORD_CHUNK = 512  # word positions per Hamming mismatch chunk
+_WORD_CHUNK = 512  # word positions in the first Hamming mismatch chunk, columns in the widest
 
 
 class GridError(ValueError):
@@ -105,6 +117,11 @@ class GridPartition:
     def n_cells(self) -> int:
         return self.nx * self.ny
 
+    @property
+    def period(self) -> int:
+        """R_{1/nx} permutes the cells."""
+        return self.nx
+
     def labels(self, pts: Array) -> Array:
         x = mod1(np.asarray(pts[..., 0], dtype=float))
         y = mod1(np.asarray(pts[..., 1], dtype=float))
@@ -124,6 +141,12 @@ class PushforwardPartition:
     def n_cells(self) -> int:
         return self.base.n_cells
 
+    @property
+    def period(self) -> int:
+        """node commutes with R_{1/node.period}, so R_{1/g} permutes the
+        image cells for g dividing both periods."""
+        return math.gcd(self.node.period, self.base.period)
+
     def labels(self, pts: Array) -> Array:
         return self.base.labels(self.node.inverse(np.asarray(pts, dtype=float)))
 
@@ -135,10 +158,16 @@ Partition = Union[GridPartition, PushforwardPartition]
 # Bowen metric and greedy packing/cover
 
 
+def fold_times(sys: AbCSystem, n_time: int, period: int = 0) -> int:
+    """min(n_time, w): the orbit times a count over n_time times reads, with
+    w = diffeo.orbit_period(sys.H, sys.alpha_next, period)."""
+    return min(n_time, diffeo.orbit_period(sys.H, sys.alpha_next, period))
+
+
 def bowen_dist(sys: AbCSystem, x, y, n_time: int) -> float:
     """max over 0 <= i < n_time of the torus sup-distance of the orbits."""
     pts = np.stack([as_points(x)[0], as_points(y)[0]])
-    orb = orbit_batch(sys, pts, n_time)
+    orb = orbit_batch(sys, pts, fold_times(sys, n_time))
     return float(np.max(torus_dist(orb[:, 0, :], orb[:, 1, :])))
 
 
@@ -159,10 +188,17 @@ def _chunk_bounds(T: int, first: int, widest: int) -> list[int]:
     return bounds
 
 
+def _weighted_chunks(bounds: Sequence[int], J: int = 1, r: int = 0) -> list[tuple[int, int, int]]:
+    """(t0, t1, weight) per chunk of ``bounds``, split at column r: a column
+    below r weighs J + 1 and any other J (see the module docstring)."""
+    edges = sorted(set(bounds) | {r})
+    return [(t0, t1, J + (t0 < r)) for t0, t1 in zip(edges, edges[1:])]
+
+
 def _greedy_balls(
     items: Array,
-    bounds: Sequence[int],
-    part_dist: Callable[[Array, Array], Array],
+    chunks: Sequence[tuple[int, int, int]],
+    part_dist: Callable[[Array, Array, int], Array],
     combine: Callable[[Array, Array], Array],
     radius,
     need=None,
@@ -171,9 +207,9 @@ def _greedy_balls(
     balls: open a ball at the first uncovered item and cover every uncovered
     item whose distance to it is < radius; stop once ``need`` items are
     covered (default: all).  The distance is accumulated chunk by chunk, over
-    the columns between consecutive ``bounds``,
-    ``d = combine(d, part_dist(items[live, t0:t1], items[c, t0:t1]))``, and
-    an item is dropped as soon as ``d >= radius``.  ``combine`` must never
+    the columns t0:t1 of each (t0, t1, weight) in ``chunks``,
+    ``d = combine(d, part_dist(items[live, t0:t1], items[c, t0:t1], weight))``,
+    and an item is dropped as soon as ``d >= radius``.  ``combine`` must never
     lower ``d`` (a running max, a sum of counts), so a dropped item would
     have stayed outside the ball and the result equals that of full
     distances, whatever the chunks.  Once the center is the only item left
@@ -192,8 +228,8 @@ def _greedy_balls(
         centers.append(c)
         live = np.flatnonzero(~covered)
         d = 0
-        for t0, t1 in zip(bounds, bounds[1:]):
-            d = combine(d, part_dist(items[live, t0:t1], items[c, t0:t1]))
+        for t0, t1, weight in chunks:
+            d = combine(d, part_dist(items[live, t0:t1], items[c, t0:t1], weight))
             keep = d < radius
             live, d = live[keep], d[keep]
             if len(live) == 1:
@@ -218,8 +254,8 @@ def greedy_centers(orbits: Array, eps: float) -> list[int]:
     """
     return _greedy_balls(
         orbits.transpose(1, 0, 2),
-        _chunk_bounds(orbits.shape[0], 1, _TIME_CHUNK),
-        lambda a, b: torus_dist(a, b).max(axis=1),
+        _weighted_chunks(_chunk_bounds(orbits.shape[0], 1, _TIME_CHUNK)),
+        lambda a, b, _: torus_dist(a, b).max(axis=1),
         np.maximum,
         eps,
     )[0]
@@ -232,9 +268,10 @@ class SeparatedResult:
 
 
 def max_separated(sys: AbCSystem, cfg: BowenConfig) -> SeparatedResult:
-    """Greedy Bowen packing over the candidate grid (lower bound for S)."""
+    """Greedy Bowen packing over the candidate grid (lower bound for S),
+    read on the first fold_times(sys, n_time) orbit times."""
     cands = cfg.candidates()
-    orbits = orbit_array(sys, cands, range(cfg.n_time))
+    orbits = orbit_array(sys, cands, range(fold_times(sys, cfg.n_time)))
     kept = greedy_centers(orbits, cfg.eps)
     return SeparatedResult(count=len(kept), witnesses=cands[kept])
 
@@ -248,12 +285,13 @@ def bowen_counts(
     sys: AbCSystem, grid: int, horizons: Sequence[int], eps_list: Sequence[float]
 ) -> dict[tuple[int, float], int]:
     """Greedy counts of the grid candidates keyed by (horizon, eps).  The
-    orbits are built once, at the largest horizon, and the count at horizon m
-    runs on their first m times; each count is both the separated and the
-    cover count (see greedy_centers)."""
+    orbits are built once, over min(largest horizon, w) times, and the count
+    at horizon m runs on their first min(m, w) times: the max over the later
+    times repeats the max over these (see the module docstring).  Each count
+    is both the separated and the cover count (see greedy_centers)."""
     for eps in eps_list:
         check_grid(grid, eps)
-    orbits = orbit_array(sys, grid_candidates(grid), range(max(horizons)))
+    orbits = orbit_array(sys, grid_candidates(grid), range(fold_times(sys, max(horizons))))
     return {(m, eps): len(greedy_centers(orbits[:m], eps)) for eps in eps_list for m in horizons}
 
 
@@ -380,11 +418,14 @@ def hamming_cover(
 ) -> HammingCoverResult:
     """Greedy covering of coded sample orbits by Hamming balls of radius eps
     until at least a (1 - eps) fraction of the samples is covered; the ball
-    count estimates the minimal Hamming cover of that measure."""
+    count estimates the minimal Hamming cover of that measure.  The words are
+    coded over the first fold_times(sys, n_time, part.period) times and
+    weighed as n_time times (see hamming_greedy)."""
     check_samples(sample_size, eps)
     rng = np.random.Generator(np.random.Philox(seed))
     pts = rng.random((sample_size, 2))
-    count, covered = hamming_greedy(code_orbits(sys, part, pts, n_time), eps)
+    words = code_orbits(sys, part, pts, fold_times(sys, n_time, part.period))
+    count, covered = hamming_greedy(words, eps, n_time)
     return HammingCoverResult(
         count=count,
         covered_fraction=covered / sample_size,
@@ -393,24 +434,36 @@ def hamming_cover(
     )
 
 
-def hamming_greedy(words: Array, eps: float) -> tuple[int, int]:
-    """Greedy cover of the rows of an (n, T) word array: open a ball at the
-    first uncovered word, cover every word with fewer than eps*T mismatches,
-    stop once at least (1 - eps)*n words are covered.  Both rules are exact:
-    eps is read as the rational value of the float, and the integer mismatch
-    counts are held against the Python int ceil(eps*T), which cannot overflow.
-    Mismatches are counted in _WORD_CHUNK-position chunks, as the set bits
-    of the packed mismatch masks, and a word leaves the ball's candidates
-    once its count reaches the radius.  The chunks do not start small, as
-    the Bowen ones do: fewer positions than the radius cannot drop a word.
+def hamming_greedy(words: Array, eps: float, n_time: Optional[int] = None) -> tuple[int, int]:
+    """Greedy cover of the rows of an (n, W) word array, read as words of
+    T = n_time positions (default W): open a ball at the first uncovered
+    word, cover every word with fewer than eps*T mismatches, stop once at
+    least (1 - eps)*n words are covered.  Both rules are exact: eps is read
+    as the rational value of the float, and the integer mismatch counts are
+    held against the Python int ceil(eps*T), which cannot overflow.
+
+    With T > W the words are folded (see the module docstring): with
+    J, r = divmod(T, W), a mismatch in a column below r counts J + 1 times
+    and any other J times.  Mismatches are counted chunk by chunk, as the
+    set bits of the packed mismatch masks times the chunk's weight, and a
+    word leaves the ball's candidates once its count reaches the radius.
+    The first chunk spans _WORD_CHUNK of the T positions, ceil(_WORD_CHUNK/J)
+    columns, and each next one doubles, up to _WORD_CHUNK columns; no chunk
+    straddles r.  The chunks do not start as small as the Bowen ones do:
+    fewer positions than the radius cannot drop a word.
     Returns (balls, covered words)."""
     eps = Fraction(eps)
+    W = words.shape[1]
+    T = W if n_time is None else n_time
+    if not 0 < W <= T:
+        raise ValueError(f"need 1 <= word columns <= n_time, got {W} columns for {T} times")
+    J, r = divmod(T, W)
     centers, covered = _greedy_balls(
         words,
-        _chunk_bounds(words.shape[1], _WORD_CHUNK, _WORD_CHUNK),
-        lambda a, b: np.bitwise_count(np.packbits(a != b, axis=1)).sum(axis=1),
+        _weighted_chunks(_chunk_bounds(W, -(-_WORD_CHUNK // J), _WORD_CHUNK), J, r),
+        lambda a, b, weight: weight * np.bitwise_count(np.packbits(a != b, axis=1)).sum(axis=1),
         np.add,
-        math.ceil(eps * words.shape[1]),
+        math.ceil(eps * T),
         need=(1 - eps) * words.shape[0],
     )
     return len(centers), covered
@@ -442,8 +495,8 @@ def sandwich_check(
     squeezed between covers of the current stage at doubled and halved radii,
     and its separated count dominates the current stage's at doubled radius."""
     cands = grid_candidates(grid)
-    orb_n = orbit_array(sys_n, cands, range(m))
-    orb_next = orbit_array(sys_next, cands, range(m))
+    orb_n = orbit_array(sys_n, cands, range(fold_times(sys_n, m)))
+    orb_next = orbit_array(sys_next, cands, range(fold_times(sys_next, m)))
     n4 = len(greedy_centers(orb_n, 4 * eps))
     n2 = len(greedy_centers(orb_next, 2 * eps))
     n1 = len(greedy_centers(orb_n, eps))

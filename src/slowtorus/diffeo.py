@@ -819,6 +819,16 @@ def orbit_batch(sys: AbCSystem, seeds: Array, n_time: int) -> Array:
     return orbit_images(sys.H, sys.H.inverse(seeds), sys.alpha_next, n_time)
 
 
+def orbit_period(H: MapNode, alpha: Fraction, period: int = 0) -> int:
+    """w = Q/g for alpha = p/Q and g = gcd(H.period, period, Q).  H commutes
+    with R_{1/g}, so the orbit under H R_alpha H^{-1} at time t + j*w is the
+    orbit at time t rotated horizontally by (j*p mod g)/g.  ``period`` is a
+    further symmetry the rotation must keep, such as a partition's cells
+    (0, the default, adds none)."""
+    Q = alpha.denominator
+    return Q // math.gcd(H.period, period, Q)
+
+
 def orbit_images(
     H: MapNode,
     base: Array,
@@ -834,9 +844,13 @@ def orbit_images(
     contiguous (greedy_centers reads it that way).
 
     H commutes with R_{1/g} for g = gcd(H.period, Q), alpha = p/Q.  With
-    w = Q/g, times t and t + j*w differ in rotation by j*w*p/Q, which is
-    (j*p mod g)/g mod 1, so H(u + (t + j*w)*alpha) = H(u + t*alpha) +
-    ((j*p mod g)/g, 0).  H.forward therefore runs only at t < min(n_time, w),
+    w = Q/g (orbit_period), times t and t + j*w differ in rotation by
+    j*w*p/Q, which is (j*p mod g)/g mod 1, so H(u + (t + j*w)*alpha) =
+    H(u + t*alpha) + ((j*p mod g)/g, 0).  A rotation by a multiple of 1/g is
+    an isometry of the sup metric, so a Bowen distance or (for a partition
+    whose cells it permutes) a label mismatch at t + j*w equals the one at t:
+    the complexity counts read only the first min(n_time, w) times (see
+    complexity).  H.forward therefore runs only at t < min(n_time, w),
     at the exact rotation (t*p mod Q)/Q, on about ORBIT_CHUNK_POINTS points
     per call, and each image is written at t, t + w, t + 2w, ... rotated by
     (j*p mod g)/g.  Times below w get the bits of a direct evaluation; the
@@ -848,8 +862,8 @@ def orbit_images(
     base = as_points(base)
     n = base.shape[0]
     p, Q = alpha.numerator, alpha.denominator
-    g = math.gcd(H.period, Q)
-    w = Q // g
+    w = orbit_period(H, alpha)
+    g = Q // w
     if label is None:
         out = np.empty((n, n_time, 2), dtype=dtype).transpose(1, 0, 2)
     else:

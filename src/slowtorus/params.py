@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -110,15 +111,25 @@ def _json_int(x) -> int:
     return x
 
 
+def _json_digits(x) -> int:
+    """A big int as the encoder writes it: a JSON string of ASCII decimal
+    digits, with no sign, leading zero, space or underscore.  Anything else
+    is refused, a JSON int included: these fields are always written as
+    strings, so a number there was not written by ``chain_to_json``."""
+    if type(x) is not str or not re.fullmatch("0|[1-9][0-9]*", x):
+        raise TypeError(f"expected a string of decimal digits, got {x!r}")
+    return int(x)
+
+
 # (encode, decode) per StageParams field: small ints stay JSON ints, big ones
 # are decimal strings, rationals are "p/q"
 _STAGE_CODECS = {
     "n": (int, _json_int),
-    "p": (str, int),
-    "q": (str, int),
+    "p": (str, _json_digits),
+    "q": (str, _json_digits),
     "k": (int, _json_int),
-    "l": (str, int),
-    "l_prime": (str, int),
+    "l": (str, _json_digits),
+    "l_prime": (str, _json_digits),
     "alpha": (_ratio, _parse_ratio),
     "eps": (_ratio, _parse_ratio),
     "m_smooth": (int, _json_int),

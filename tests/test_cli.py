@@ -571,26 +571,31 @@ def test_benchmark_tracer_reads_a_run(tmp_path):
     # The benchmark tracer wraps package functions by name and reads their
     # arguments (orbit_array's times, code_orbits' pts and n_time); a run
     # under it pins those names and signatures.  It patches modules, so it
-    # runs in its own interpreter.
+    # runs in its own interpreter.  At q_next = 512 the orbit period is
+    # w = 64, for the grid and for the 8 x 8 Hamming cells alike, so the
+    # evaluations done stop at 64 times whatever the horizon cap.
     root = Path(__file__).resolve().parents[1]
-    cfg_path, _ = write_config(tmp_path, horizon_cap=64, hamming_samples=800)
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # leave no bytecode beside the tracer
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", TRACED_RUN, str(root / "slowbench"), str(cfg_path)],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.splitlines()[-1])
-    assert out["rc"] == 0
-    m = out["metrics"]
-    assert set(m) <= set(out["names"])
-    # grid 20 at the largest horizon, 64; 800 coded samples at that horizon
-    assert (m["complexity.orbit_array_calls"], m["complexity.orbit_array_evals"]) == (1, 400 * 64)
-    assert m["complexity.code_orbits_evals"] == 800 * 64
-    assert m["complexity.greedy_centers_calls"] == 3  # horizons 1, q = 8, 64
-    assert m["complexity.hamming_cover_calls"] == 1
-    for name in ("complexity.witness_untwisted_s", "diffeo.orbit_batch_s",
-                 "diffeo.orbit_images_s", "experiments.build_systems_s",
-                 "params.build_chain_s", "reporting.bytes_written"):
-        assert m[name] > 0, name
+    for cap in (64, 128):
+        run_dir = tmp_path / f"cap{cap}"
+        run_dir.mkdir()
+        cfg_path, _ = write_config(run_dir, horizon_cap=cap, hamming_samples=800)
+        proc = subprocess.run(
+            [sys.executable, "-c", TRACED_RUN, str(root / "slowbench"), str(cfg_path)],
+            capture_output=True, text=True, env=env, cwd=run_dir, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.splitlines()[-1])
+        assert out["rc"] == 0
+        m = out["metrics"]
+        assert set(m) <= set(out["names"])
+        # grid 20 and 800 coded samples, each over min(largest horizon, w) = 64 times
+        assert (m["complexity.orbit_array_calls"], m["complexity.orbit_array_evals"]) == (1, 400 * 64)
+        assert m["complexity.code_orbits_evals"] == 800 * 64
+        assert m["complexity.greedy_centers_calls"] == 3  # horizons 1, q = 8 and the cap
+        assert m["complexity.hamming_cover_calls"] == 1
+        for name in ("complexity.witness_untwisted_s", "diffeo.orbit_batch_s",
+                     "diffeo.orbit_images_s", "experiments.build_systems_s",
+                     "params.build_chain_s", "reporting.bytes_written"):
+            assert m[name] > 0, name

@@ -405,6 +405,123 @@ def test_hamming_greedy_matches_full_counts(case):
     assert cx.hamming_greedy(words, eps) == reference_hamming_greedy(words, eps)
 
 
+# -- the fold: one symmetry period weighed as the whole horizon ---------------
+
+
+def unfold(words, T):
+    """The (n, T) words a folded (n, W) array stands for: column t % W."""
+    return words[:, np.arange(T) % words.shape[1]]
+
+
+def _hamming_fold_tie_case():
+    # W=8 columns read as T=29 times: J, r = 3, 5, so columns 0-4 weigh 4 and
+    # 5-7 weigh 3.  eps=1/4: radius ceil(7.25) = 8.  Word 1 differs from
+    # word 0 at columns 0 and 1, 4 + 4 = 8 mismatches, exactly the radius, and
+    # opens a second ball; word 2 differs at columns 5 and 6, 3 + 3 = 6, and
+    # is covered by the first.  Weighing every column 3 covers word 1 too,
+    # (1, 3); weighing the one 8-column chunk by its first column, 4, leaves
+    # word 2 out as well, (3, 3).  Unfolded: (2, 3)
+    words = np.zeros((3, 8), dtype=np.uint8)
+    words[1, 0:2] = 1
+    words[2, 5:7] = 1
+    return words, 1 / 4, 29
+
+
+def test_hamming_greedy_needs_a_time_per_column():
+    with pytest.raises(ValueError):
+        cx.hamming_greedy(np.zeros((2, 8), dtype=np.uint8), 0.25, 7)
+    with pytest.raises(ValueError):
+        cx.hamming_greedy(np.zeros((2, 0), dtype=np.uint8), 0.25)
+
+
+@hst.composite
+def folded_words(draw):
+    """(words, eps, T): near_words read as T >= W times, with J up to 4."""
+    words, eps = draw(near_words())
+    T = draw(hst.integers(min_value=words.shape[1], max_value=4 * words.shape[1] + 3))
+    return words, eps, T
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=folded_words())
+@example(case=_hamming_fold_tie_case())
+def test_hamming_greedy_folded_matches_unfolded_counts(case):
+    words, eps, T = case
+    assert cx.hamming_greedy(words, eps, T) == reference_hamming_greedy(unfold(words, T), eps)
+
+
+@pytest.fixture(scope="module")
+def readme_sample():
+    # the README run's Hamming sample: seed 7, 2000 points
+    return np.random.Generator(np.random.Philox(7)).random((2000, 2))
+
+
+@pytest.mark.parametrize(
+    "part, T",
+    [
+        # 8 x 8 cells: w = 512, J, r = 8, 0; 7, 511; 1, 188
+        pytest.param(cx.GridPartition(8, 8), 4096, id="8x8-T4096"),
+        pytest.param(cx.GridPartition(8, 8), 4095, id="8x8-T4095"),
+        pytest.param(cx.GridPartition(8, 8), 700, id="8x8-T700"),
+        # 6 x 6 cells: gcd(8, 6) = 2, w = 2048, J, r = 2, 0; 1, 952
+        pytest.param(cx.GridPartition(6, 6), 4096, id="6x6-T4096"),
+        pytest.param(cx.GridPartition(6, 6), 3000, id="6x6-T3000"),
+    ],
+)
+def test_hamming_cover_folds_exactly(untwisted_sys2, readme_sample, part, T):
+    # the README stage-2 words over one period, weighed, against the full
+    # words over all T times
+    sys = untwisted_sys2
+    res = cx.hamming_cover(sys, part, T, 0.125, 2000, seed=7)
+    full = cx.hamming_greedy(cx.code_orbits(sys, part, readme_sample, T), 0.125)
+    assert (res.count, round(res.covered_fraction * 2000)) == full
+
+
+def test_hamming_cover_folds_exactly_on_a_pushforward_partition(untwisted_sys2):
+    # cells pushed forward by the stage's own stack (period 8) from a 4 x 4
+    # grid: period gcd(8, 4) = 4, so w = 4096/4 = 1024 and T = 2500 reads
+    # J, r = 2, 452
+    sys = untwisted_sys2
+    part = cx.PushforwardPartition(cx.GridPartition(4, 4), sys.H)
+    assert part.period == 4
+    assert df.orbit_period(sys.H, sys.alpha_next, part.period) == 1024
+    res = cx.hamming_cover(sys, part, 2500, 0.25, 400, seed=3)
+    pts = np.random.Generator(np.random.Philox(3)).random((400, 2))
+    full = cx.hamming_greedy(cx.code_orbits(sys, part, pts, 2500), 0.25)
+    assert (res.count, round(res.covered_fraction * 400)) == full
+
+
+def test_bowen_counts_fold_exactly(untwisted_sys2):
+    # the README grid: w = 512, so horizons past it read the first 512 times
+    sys = untwisted_sys2
+    assert df.orbit_period(sys.H, sys.alpha_next) == 512
+    horizons = (1, 8, 511, 512, 513, 4096)
+    counts = cx.bowen_counts(sys, 32, horizons, [0.125])
+    orbits = cx.orbit_array(sys, cx.grid_candidates(32), range(4096))
+    for m in horizons:
+        assert counts[m, 0.125] == len(cx.greedy_centers(orbits[:m], 0.125)), m
+
+
+def test_max_separated_and_sandwich_fold_exactly(untwisted_built):
+    # stage 1 is a rotation (w = 1) and stage 2 has w = 512: at m = 700 each
+    # reads min(m, w) times, against greedy counts over all 700
+    sys1, sys2 = untwisted_built.system(1), untwisted_built.system(2)
+    cands = cx.grid_candidates(20)
+    o1, o2 = (cx.orbit_array(s, cands, range(700)) for s in (sys1, sys2))
+    sep = cx.max_separated(sys2, cx.BowenConfig(n_time=700, eps=0.125, grid=20))
+    assert np.array_equal(sep.witnesses, cands[cx.greedy_centers(o2, 0.125)])
+    res = cx.sandwich_check(sys1, sys2, m=700, eps=0.125, grid=20)
+    got = (res.n_coarse_4eps, res.n_fine_2eps, res.n_coarse_eps, res.sep_fine_eps, res.sep_coarse_2eps)
+    expect = [(o1, 0.5), (o2, 0.25), (o1, 0.125), (o2, 0.125), (o1, 0.25)]
+    assert got == tuple(len(cx.greedy_centers(o, e)) for o, e in expect)
+
+
+def test_partition_periods(untwisted_sys2):
+    assert cx.GridPartition(6, 3).period == 6
+    assert cx.PushforwardPartition(cx.GridPartition(6, 6), df.Rotation(Fraction(1, 3))).period == 6
+    assert cx.PushforwardPartition(cx.GridPartition(6, 6), untwisted_sys2.H).period == 2
+
+
 def test_coded_agreement_tracks_proximity():
     # a chain satisfying the step condition keeps one-stage-apart systems
     # pointwise close over the allowed horizon; coded orbits then disagree

@@ -170,6 +170,12 @@ def _stage_doc(**changes):
         pytest.param(_stage_doc(n=1.9), id="n-float"),
         pytest.param(_stage_doc(k=True), id="k-bool"),
         pytest.param(_stage_doc(m_smooth=0.5), id="m_smooth-float"),
+        # p, q, l and l_prime are written as digit strings; int() would take
+        # each of these, the numbers included
+        pytest.param(_stage_doc(p=1.0), id="p-float"),
+        pytest.param(_stage_doc(l_prime=True), id="l_prime-bool"),
+        pytest.param(_stage_doc(q=2), id="q-int"),
+        pytest.param(_stage_doc(l="+1"), id="l-signed-string"),
         pytest.param(json.dumps({"schema_version": 1, "stages": 3}), id="stages-int"),
         pytest.param(json.dumps({"schema_version": 1, "stages": [1]}), id="stage-int"),
         pytest.param(json.dumps({"schema_version": "x", "stages": []}), id="version-str"),
