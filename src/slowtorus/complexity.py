@@ -10,13 +10,16 @@ S(2e) <= N(e) <= S(e) holds exactly, ties included):
   * a cover repeatedly opens a ball at the lowest-index uncovered candidate
     and removes candidates at Bowen distance < eps (open balls).
 
-Bowen and Hamming covers run one greedy loop, which builds each candidate's
-distance to the new center chunk by chunk (a running max of torus distances
-over chunks of 1, 2, 4, ... times, doubling up to 256; a running count of
-mismatches over 512 positions at a time) and drops the candidate once that
-partial distance reaches the radius.  The drop is exact: a max over more
-times and a count over more positions can only grow, and the counts are
-integers, so every result equals that of full distances.
+Bowen and Hamming covers and the witness check share one membership step,
+which builds each item's distance to a center chunk by chunk (a running max
+of torus distances over chunks of 1, 2, 4, ... times, doubling up to 256; a
+running count of mismatches over 512 positions at a time) and drops the item
+once that partial distance reaches the radius.  The drop is exact: a max
+over more times and a count over more positions can only grow, and the
+counts are integers, so every result equals that of full distances, and a
+kept item's distance is its full distance.  The witness check drops a pair
+at max(eps, the smallest pair distance found so far), so a dropped pair is
+neither a failure (below eps) nor below the minimum: both stay exact.
 
 Counts over T orbit times read only the first min(T, w) of them, with w the
 system's orbit period (diffeo.orbit_period): the orbit at time t + j*w is the
@@ -39,7 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -195,25 +198,42 @@ def _weighted_chunks(bounds: Sequence[int], J: int = 1, r: int = 0) -> list[tupl
     return [(t0, t1, J + (t0 < r)) for t0, t1 in zip(edges, edges[1:])]
 
 
-def _greedy_balls(
-    items: Array,
-    chunks: Sequence[tuple[int, int, int]],
-    part_dist: Callable[[Array, Array, int], Array],
-    combine: Callable[[Array, Array], Array],
-    radius,
-    need=None,
-) -> tuple[list[int], int]:
+def _ball(items: Array, c: int, live: Array, radius, metric) -> tuple[Array, Array]:
+    """Rows of ``live`` within ``radius`` of item c, and their distances, for
+    item-major (n, T, ...) ``items`` and ``metric = (chunks, part_dist, combine)``.
+    Over the columns t0:t1 of each (t0, t1, weight) chunk,
+    ``d = combine(d, part_dist(items[live, t0:t1], items[c, t0:t1], weight))``,
+    and a row leaves ``live`` once ``d >= radius``.  ``combine`` must never
+    lower ``d`` (a running max, a sum of counts), so a dropped row ends at
+    radius or beyond, and a kept row's ``d`` is its full distance."""
+    chunks, part_dist, combine = metric
+    d = 0
+    for t0, t1, weight in chunks:
+        if not len(live):
+            break
+        d = combine(d, part_dist(items[live, t0:t1], items[c, t0:t1], weight))
+        keep = d < radius
+        live, d = live[keep], d[keep]
+    return live, d
+
+
+def _bowen_metric(n_time: int):
+    """The Bowen metric over n_time orbit times, as _ball's metric: a running
+    max of torus distances over time 0 alone, which drops all but a few grid
+    neighbours of the center, then over chunks that double up to _TIME_CHUNK."""
+    return (
+        _weighted_chunks(_chunk_bounds(n_time, 1, _TIME_CHUNK)),
+        lambda a, b, _: torus_dist(a, b).max(axis=1),
+        np.maximum,
+    )
+
+
+def _greedy_balls(items: Array, metric, radius, need=None) -> tuple[list[int], int]:
     """Greedy cover of the rows of an item-major (n, T, ...) array by open
     balls: open a ball at the first uncovered item and cover every uncovered
-    item whose distance to it is < radius; stop once ``need`` items are
-    covered (default: all).  The distance is accumulated chunk by chunk, over
-    the columns t0:t1 of each (t0, t1, weight) in ``chunks``,
-    ``d = combine(d, part_dist(items[live, t0:t1], items[c, t0:t1], weight))``,
-    and an item is dropped as soon as ``d >= radius``.  ``combine`` must never
-    lower ``d`` (a running max, a sum of counts), so a dropped item would
-    have stayed outside the ball and the result equals that of full
-    distances, whatever the chunks.  Once the center is the only item left
-    (its distance to itself stays 0), the remaining chunks are skipped.
+    item whose distance to it is < radius (see _ball); stop once ``need``
+    items are covered (default: all).  Every item before the center is
+    already covered, so only the uncovered items after it are measured.
     Returns (centers, covered items)."""
     n = items.shape[0]
     need = n if need is None else need
@@ -226,16 +246,9 @@ def _greedy_balls(
         if covered[c]:
             continue
         centers.append(c)
-        live = np.flatnonzero(~covered)
-        d = 0
-        for t0, t1, weight in chunks:
-            d = combine(d, part_dist(items[live, t0:t1], items[c, t0:t1], weight))
-            keep = d < radius
-            live, d = live[keep], d[keep]
-            if len(live) == 1:
-                break
-        covered[live] = True
-        n_cov += len(live)
+        live, _ = _ball(items, c, c + 1 + np.flatnonzero(~covered[c + 1 :]), radius, metric)
+        covered[c] = covered[live] = True
+        n_cov += 1 + len(live)
     return centers, n_cov
 
 
@@ -247,18 +260,9 @@ def greedy_centers(orbits: Array, eps: float) -> list[int]:
     eps-balls, so its size is simultaneously a lower bound for the maximal
     packing and an upper bound for the minimal cover of the grid.  The orbits
     are read point-major, which is contiguous for the views orbit_array
-    returns.  The first chunk of times is time 0 alone, which already drops
-    every candidate that starts eps or more from the center (on a grid, all
-    but a few neighbours), and each later chunk doubles, up to _TIME_CHUNK
-    times.
+    returns.
     """
-    return _greedy_balls(
-        orbits.transpose(1, 0, 2),
-        _weighted_chunks(_chunk_bounds(orbits.shape[0], 1, _TIME_CHUNK)),
-        lambda a, b, _: torus_dist(a, b).max(axis=1),
-        np.maximum,
-        eps,
-    )[0]
+    return _greedy_balls(orbits.transpose(1, 0, 2), _bowen_metric(orbits.shape[0]), eps)[0]
 
 
 @dataclass(frozen=True)
@@ -295,20 +299,6 @@ def bowen_counts(
     return {(m, eps): len(greedy_centers(orbits[:m], eps)) for eps in eps_list for m in horizons}
 
 
-def pairwise_bowen(orbits: Array) -> Array:
-    """(N, N) matrix of Bowen distances (small candidate sets only)."""
-    T, N, _ = orbits.shape
-    # keep the (chunk, N, N, 2) intermediates under ~100 MB
-    chunk = max(1, min(_TIME_CHUNK, int(6e6 / max(N * N, 1))))
-    out = np.zeros((N, N))
-    for t0 in range(0, T, chunk):
-        t1 = min(t0 + chunk, T)
-        seg = orbits[t0:t1]
-        d = torus_dist(seg[:, :, None, :], seg[:, None, :, :])
-        out = np.maximum(out, d.max(axis=0))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # witness sets for the untwisted construction
 
@@ -325,32 +315,35 @@ class WitnessReport:
     partial: bool = False  # horizon truncated by the compute budget
 
 
-def witness_set(stage_q: int, stage_eps: float, eps: float, i0: int = 0) -> Array:
+# pairs grow as the square of the points: 512 points make 130816 pairs
+_WITNESS_POINTS = 512
+
+
+def witness_set(stage_q: int, stage_eps: float, eps: float) -> Array:
     """The explicit separated-set candidates for the untwisted stage:
-    x-offsets i0/q + 2*j*eps_n/q^2 (j < q/2) on levels 3/8 + k*eps
+    x-offsets 2*j*eps_n/q^2 (j < q/2) on levels 3/8 + k*eps
     (0 <= k <= floor(1/(4*eps)))."""
     q = stage_q
     js = np.arange(q // 2)
-    xs = (i0 / q + 2.0 * js * stage_eps / (q * q)) % 1.0
+    xs = (2.0 * js * stage_eps / (q * q)) % 1.0
     levels = [3.0 / 8.0 + k * eps for k in range(int(math.floor(1.0 / (4.0 * eps))) + 1)]
     pts = [(x, y) for y in levels for x in xs]
     return np.array(pts, dtype=float)
 
 
 def witness_untwisted(
-    sys: AbCSystem,
-    eps: float,
-    i0: int = 0,
-    max_horizon: Optional[int] = None,
-    max_points: int = 512,
+    sys: AbCSystem, eps: float, max_horizon: Optional[int] = None
 ) -> WitnessReport:
     """Check the untwisted witness set is (q_next, eps)-Bowen separated.
 
     The set is pushed through the conjugation stack; orbit enumeration is
     exact in the rotation coordinate, so the pairwise worst separations are
-    sharp.  A horizon larger than max_horizon, or a witness set larger than
-    max_points (pair enumeration is quadratic), is truncated and the report
-    flagged partial.
+    sharp.  The orbits cover fold_times(sys, horizon) times, as every Bowen
+    count does.  Each point i meets the points j > i through the greedy's
+    membership step, at a drop radius that keeps the failures (pairs closer
+    than eps) and the minimum exact (see the module docstring).
+    A horizon larger than max_horizon, or a witness set larger than
+    _WITNESS_POINTS, is truncated and the report flagged partial.
     """
     st = sys.stage
     horizon = sys.q_next
@@ -358,26 +351,30 @@ def witness_untwisted(
     if max_horizon is not None and horizon > max_horizon:
         horizon = max_horizon
         partial = True
-    base = witness_set(st.q, float(st.eps), eps, i0=i0)
+    base = witness_set(st.q, float(st.eps), eps)
     expected = len(base)
-    if len(base) > max_points:
-        base = base[:max_points]
+    if len(base) > _WITNESS_POINTS:
+        base = base[:_WITNESS_POINTS]
         partial = True
-    orbs = diffeo.orbit_images(sys.H, base, sys.alpha_next, horizon)
-    dmat = pairwise_bowen(orbs)
+    n_time = fold_times(sys, horizon)
+    items = diffeo.orbit_images(sys.H, base, sys.alpha_next, n_time).transpose(1, 0, 2)
+    metric = _bowen_metric(n_time)
     n = base.shape[0]
-    iu = np.triu_indices(n, k=1)
-    pair_min = dmat[iu]
-    bad = np.flatnonzero(pair_min < eps)
-    failures = tuple(zip(iu[0][bad].tolist(), iu[1][bad].tolist(), pair_min[bad].tolist()))
+    failures: list[tuple[int, int, float]] = []
+    min_sep = math.inf
+    for i in range(n - 1):
+        js, d = _ball(items, i, np.arange(i + 1, n), max(eps, min_sep), metric)
+        bad = d < eps
+        failures += [(i, j, dj) for j, dj in zip(js[bad].tolist(), d[bad].tolist())]
+        min_sep = min(min_sep, d.min(initial=math.inf))
     return WitnessReport(
         count=n,
         expected_count=expected,
         horizon=horizon,
         eps=eps,
         all_separated=not failures,
-        min_pair_separation=float(pair_min.min()) if pair_min.size else math.inf,
-        failures=failures,
+        min_pair_separation=float(min_sep),
+        failures=tuple(failures),
         partial=partial,
     )
 
@@ -460,9 +457,11 @@ def hamming_greedy(words: Array, eps: float, n_time: Optional[int] = None) -> tu
     J, r = divmod(T, W)
     centers, covered = _greedy_balls(
         words,
-        _weighted_chunks(_chunk_bounds(W, -(-_WORD_CHUNK // J), _WORD_CHUNK), J, r),
-        lambda a, b, weight: weight * np.bitwise_count(np.packbits(a != b, axis=1)).sum(axis=1),
-        np.add,
+        (
+            _weighted_chunks(_chunk_bounds(W, -(-_WORD_CHUNK // J), _WORD_CHUNK), J, r),
+            lambda a, b, weight: weight * np.bitwise_count(np.packbits(a != b, axis=1)).sum(axis=1),
+            np.add,
+        ),
         math.ceil(eps * T),
         need=(1 - eps) * words.shape[0],
     )

@@ -143,12 +143,36 @@ def test_witness_untwisted_desk(untwisted_sys2):
     assert rep.all_separated
     assert rep.min_pair_separation >= 0.125
     assert not rep.partial
+    assert rep == reference_witness(untwisted_sys2, 0.125)
 
 
 def test_witness_partial_flag(untwisted_sys3):
     rep = cx.witness_untwisted(untwisted_sys3, eps=0.125, max_horizon=256)
     assert rep.partial
     assert rep.horizon == 256
+    assert rep == reference_witness(untwisted_sys3, 0.125, 256)
+
+
+@pytest.mark.parametrize(
+    "eps, max_horizon, n_failures, min_sep",
+    [(0.3, None, 0, 0.421875), (0.25, 64, 7, 0.1913799867614685)],
+)
+def test_witness_matches_full_distances(untwisted_sys2, eps, max_horizon, n_failures, min_sep):
+    # with no failure, the minimum lies above eps and must still be exact;
+    # with failures, every pair closer than eps must be listed, in (i, j) order
+    rep = cx.witness_untwisted(untwisted_sys2, eps=eps, max_horizon=max_horizon)
+    assert len(rep.failures) == n_failures
+    assert rep.min_pair_separation == min_sep
+    assert rep == reference_witness(untwisted_sys2, eps, max_horizon)
+
+
+def test_witness_untwisted_deep(untwisted_sys3):
+    # the first 512 of the 6144 stage-3 witnesses over 4096 of the 2^24 times
+    rep = cx.witness_untwisted(untwisted_sys3, eps=0.125, max_horizon=4096)
+    assert (rep.count, rep.expected_count, rep.horizon, rep.partial) == (512, 6144, 4096, True)
+    assert len(rep.failures) == 8274
+    assert rep.failures[0] == (0, 4, 0.018505308125158937)
+    assert rep.min_pair_separation == 0.0022098584798526666
 
 
 def test_witness_levels_separate_without_dynamics():
@@ -251,6 +275,30 @@ def reference_greedy_centers(orbits, eps):
             kept.append(c)
             covered |= df.torus_dist(orbits, orbits[:, c : c + 1]).max(axis=0) < eps
     return kept
+
+
+def reference_witness(sys, eps, max_horizon=None):
+    """WitnessReport from the full (N, N) Bowen matrix over every orbit time
+    up to the horizon, unfolded, of the first 512 witnesses."""
+    horizon = sys.q_next if max_horizon is None else min(sys.q_next, max_horizon)
+    base = cx.witness_set(sys.stage.q, float(sys.stage.eps), eps)
+    pts = base[:512]
+    n = len(pts)
+    dmat = np.zeros((n, n))
+    for x in df.orbit_images(sys.H, pts, sys.alpha_next, horizon):
+        dmat = np.maximum(dmat, df.torus_dist(x[:, None], x[None, :]))
+    pairs = [(i, j, float(dmat[i, j])) for i in range(n) for j in range(i + 1, n)]
+    failures = tuple(p for p in pairs if p[2] < eps)
+    return cx.WitnessReport(
+        count=n,
+        expected_count=len(base),
+        horizon=horizon,
+        eps=eps,
+        all_separated=not failures,
+        min_pair_separation=min((p[2] for p in pairs), default=math.inf),
+        failures=failures,
+        partial=horizon < sys.q_next or n < len(base),
+    )
 
 
 def reference_hamming_greedy(words, eps):
