@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -105,6 +106,8 @@ def load_config(path: Optional[str], overrides: dict) -> ExperimentConfig:
         if not _has_type(value, tp):
             want = tp.__name__ if isinstance(tp, type) else str(tp).replace("typing.", "")
             raise ConfigError(f"config field {key} must be {want}, got {value!r}")
+    if data.get("seed", 0) < 0:
+        raise ConfigError(f"seed must be >= 0, got {data['seed']}")
     return ExperimentConfig(**data)
 
 
@@ -157,8 +160,8 @@ def _parse_horizons(cfg: ExperimentConfig) -> list[Callable[[params.StageParams]
 
 
 def cmd_params(cfg: ExperimentConfig) -> int:
-    profile = cfg.profile()
     try:
+        profile = cfg.profile()
         chain = params.build_chain(profile, cfg.n_max)
     except params.ProfileError as exc:
         print(f"construction error: {exc}", file=sys.stderr)
@@ -194,12 +197,23 @@ def _build_or_report(cfg: ExperimentConfig) -> Optional[BuiltChain]:
         return None
 
 
-def _budget_estimate(cfg: ExperimentConfig, max_horizons: Sequence[int]) -> float:
-    """Orbit evaluations of a run: per measured stage, the grid and the
-    Hamming samples, each followed to the stage's largest horizon.  Every
-    time up to the horizon is counted, so this is an upper bound: the counts
-    read only the times below one symmetry period (see complexity)."""
-    return float(sum((cfg.grid * cfg.grid + cfg.hamming_samples) * m for m in max_horizons))
+def _budget_estimate(
+    cfg: ExperimentConfig, stages: Sequence[params.StageParams], horizons: dict[int, list[int]]
+) -> float:
+    """Orbit evaluations and witness pair-times of a run.  Per measured
+    stage: the grid and the Hamming samples, each followed to the stage's
+    largest horizon, and for an untwisted run the pairs of the witness points
+    (at most cx.WITNESS_POINTS), each compared at min(q_next, horizon_cap)
+    times.  Every time up to the horizon is counted, so this is an upper
+    bound: the counts read only the times below one symmetry period (see
+    complexity)."""
+    est = 0
+    for st in stages:
+        est += (cfg.grid * cfg.grid + cfg.hamming_samples) * max(horizons[st.n])
+        if cfg.construction == "untwisted":
+            wit = cx.witness_set(st.q, float(st.eps), cfg.eps_list[0])
+            est += math.comb(min(len(wit), cx.WITNESS_POINTS), 2) * min(st.q_next, cfg.horizon_cap)
+    return float(est)
 
 
 def cmd_run(cfg: ExperimentConfig, force: bool = False) -> int:
@@ -236,10 +250,10 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> int:
             file=sys.stderr,
         )
         return EXIT_VALIDATION
-    est = _budget_estimate(cfg, [max(h) for h in horizons.values()])
+    est = _budget_estimate(cfg, [st for st, _ in measured], horizons)
     if est > cfg.max_orbit_evals and not force:
         print(
-            f"budget exceeded: estimated {est:.3g} orbit evaluations "
+            f"budget exceeded: estimated {est:.3g} orbit evaluations and witness pair-times "
             f"> {cfg.max_orbit_evals:.3g} (use --force to override)",
             file=sys.stderr,
         )

@@ -31,7 +31,10 @@ column t < w of a word stands for the times t, t + w, ... < T: with
 J, r = divmod(T, w) it weighs J + 1 for t < r and J otherwise, and the
 weighted mismatch count equals the count over all T times.  In floats the
 rotated copies can round differently, so the fold agrees with unfolded
-orbits except where a distance sits within rounding of the radius.
+orbits except where a distance sits within rounding of the radius.  Every
+Bowen count of candidates (bowen_counts, max_separated, sandwich_check) reads
+one builder, _bowen_grid: one orbit array per system, one greedy per
+(folded horizon, radius).
 
 Greedy results are bounds, not extremal values: a separated count is a lower
 bound for the maximal packing of the grid, a cover count an upper bound for
@@ -82,18 +85,11 @@ class BowenConfig:
     n_time: int
     eps: float
     grid: int = 32
-    points: Optional[Array] = None  # explicit candidate list overrides grid
 
     def __post_init__(self):
         if self.n_time < 1:
             raise ValueError("n_time must be >= 1")
-        if self.points is None:
-            check_grid(self.grid, self.eps)
-
-    def candidates(self) -> Array:
-        if self.points is not None:
-            return as_points(self.points)
-        return grid_candidates(self.grid)
+        check_grid(self.grid, self.eps)
 
 
 def grid_candidates(g: int) -> Array:
@@ -271,12 +267,30 @@ class SeparatedResult:
     witnesses: Array  # (count, 2) candidate points
 
 
+def _bowen_grid(
+    sys: AbCSystem, cands: Array, horizons: Sequence[int], radii: Sequence[float]
+) -> dict[tuple[int, float], list[int]]:
+    """Greedy centers of the candidates keyed by (horizon, radius).  The
+    orbits are built once, over T = fold_times(sys, max(horizons)) times, and
+    the count at horizon m runs on their first min(m, T) times: the max over
+    the later times repeats the max over these (see the module docstring).
+    Horizons that fold to the same times share one greedy per radius."""
+    orbits = orbit_array(sys, cands, range(fold_times(sys, max(horizons))))
+    out: dict[tuple[int, float], list[int]] = {}
+    for eps in radii:
+        runs: dict[int, list[int]] = {}
+        for m in horizons:
+            t = min(m, orbits.shape[0])
+            if t not in runs:
+                runs[t] = greedy_centers(orbits[:t], eps)
+            out[m, eps] = runs[t]
+    return out
+
+
 def max_separated(sys: AbCSystem, cfg: BowenConfig) -> SeparatedResult:
-    """Greedy Bowen packing over the candidate grid (lower bound for S),
-    read on the first fold_times(sys, n_time) orbit times."""
-    cands = cfg.candidates()
-    orbits = orbit_array(sys, cands, range(fold_times(sys, cfg.n_time)))
-    kept = greedy_centers(orbits, cfg.eps)
+    """Greedy Bowen packing over the candidate grid (lower bound for S)."""
+    cands = grid_candidates(cfg.grid)
+    kept = _bowen_grid(sys, cands, [cfg.n_time], [cfg.eps])[cfg.n_time, cfg.eps]
     return SeparatedResult(count=len(kept), witnesses=cands[kept])
 
 
@@ -288,15 +302,12 @@ def min_cover(sys: AbCSystem, cfg: BowenConfig) -> int:
 def bowen_counts(
     sys: AbCSystem, grid: int, horizons: Sequence[int], eps_list: Sequence[float]
 ) -> dict[tuple[int, float], int]:
-    """Greedy counts of the grid candidates keyed by (horizon, eps).  The
-    orbits are built once, over min(largest horizon, w) times, and the count
-    at horizon m runs on their first min(m, w) times: the max over the later
-    times repeats the max over these (see the module docstring).  Each count
-    is both the separated and the cover count (see greedy_centers)."""
+    """Greedy counts of the grid candidates keyed by (horizon, eps).  Each
+    count is both the separated and the cover count (see greedy_centers)."""
     for eps in eps_list:
         check_grid(grid, eps)
-    orbits = orbit_array(sys, grid_candidates(grid), range(fold_times(sys, max(horizons))))
-    return {(m, eps): len(greedy_centers(orbits[:m], eps)) for eps in eps_list for m in horizons}
+    centers = _bowen_grid(sys, grid_candidates(grid), horizons, eps_list)
+    return {key: len(kept) for key, kept in centers.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +327,7 @@ class WitnessReport:
 
 
 # pairs grow as the square of the points: 512 points make 130816 pairs
-_WITNESS_POINTS = 512
+WITNESS_POINTS = 512
 
 
 def witness_set(stage_q: int, stage_eps: float, eps: float) -> Array:
@@ -343,7 +354,7 @@ def witness_untwisted(
     membership step, at a drop radius that keeps the failures (pairs closer
     than eps) and the minimum exact (see the module docstring).
     A horizon larger than max_horizon, or a witness set larger than
-    _WITNESS_POINTS, is truncated and the report flagged partial.
+    WITNESS_POINTS, is truncated and the report flagged partial.
     """
     st = sys.stage
     horizon = sys.q_next
@@ -353,8 +364,8 @@ def witness_untwisted(
         partial = True
     base = witness_set(st.q, float(st.eps), eps)
     expected = len(base)
-    if len(base) > _WITNESS_POINTS:
-        base = base[:_WITNESS_POINTS]
+    if len(base) > WITNESS_POINTS:
+        base = base[:WITNESS_POINTS]
         partial = True
     n_time = fold_times(sys, horizon)
     items = diffeo.orbit_images(sys.H, base, sys.alpha_next, n_time).transpose(1, 0, 2)
@@ -494,13 +505,10 @@ def sandwich_check(
     squeezed between covers of the current stage at doubled and halved radii,
     and its separated count dominates the current stage's at doubled radius."""
     cands = grid_candidates(grid)
-    orb_n = orbit_array(sys_n, cands, range(fold_times(sys_n, m)))
-    orb_next = orbit_array(sys_next, cands, range(fold_times(sys_next, m)))
-    n4 = len(greedy_centers(orb_n, 4 * eps))
-    n2 = len(greedy_centers(orb_next, 2 * eps))
-    n1 = len(greedy_centers(orb_n, eps))
-    s_fine = len(greedy_centers(orb_next, eps))
-    s_coarse = len(greedy_centers(orb_n, 2 * eps))
+    coarse = _bowen_grid(sys_n, cands, [m], [4 * eps, eps, 2 * eps])
+    fine = _bowen_grid(sys_next, cands, [m], [2 * eps, eps])
+    n4, n1, s_coarse = (len(coarse[m, r]) for r in (4 * eps, eps, 2 * eps))
+    n2, s_fine = (len(fine[m, r]) for r in (2 * eps, eps))
     return SandwichResult(
         ok=(n4 <= n2 <= n1),
         n_coarse_4eps=n4,

@@ -27,16 +27,11 @@ from .words import WordSelection, assemble_W, sample_selection
 MIN_TWIST_Q = 4
 
 
-def desk_profile(
-    kl_schedule: Sequence[tuple[int, int, int]],
-    q1: int = 2,
-    relaxed_eps: Fraction = Fraction(1, 8),
-) -> ParamProfile:
-    """Custom relaxed-eps profile from explicit (k, l, l_prime) multipliers."""
+def desk_profile(kl_schedule: Sequence[tuple[int, int, int]]) -> ParamProfile:
+    """Custom relaxed-eps profile with q1 = 2 from explicit (k, l, l_prime)
+    multipliers."""
     steps = tuple(CustomStep(k=k, l=l, l_prime=lp) for (k, l, lp) in kl_schedule)
-    return ParamProfile(
-        regime="custom", q1=q1, relax_eps=True, relaxed_eps=relaxed_eps, custom=steps
-    )
+    return ParamProfile(regime="custom", relax_eps=True, custom=steps)
 
 
 # Stage-2 witness stage q_2 = 8, horizon q_3 = 4096, then one more stage.

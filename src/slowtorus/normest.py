@@ -26,7 +26,7 @@ from .diffeo import (
     stencil_offsets,
 )
 
-_DEFAULT_FD = 1e-6
+_FD_STEP = 1e-6  # the coarse finite-difference step; the fine one is half of it
 _DEFAULT_GRID = 67  # prime: stays incommensurate with 1/q cell structures
 
 
@@ -76,12 +76,7 @@ def _partials_sup(node: MapNode, pts: Array, h: float, k: int) -> tuple[float, A
     return max(float(np.max(np.abs(p), initial=0.0)) for p in parts), keep
 
 
-def triple_norm(
-    node: MapNode,
-    k: int,
-    grid: int = _DEFAULT_GRID,
-    fd_step: float = _DEFAULT_FD,
-) -> NormEstimate:
+def triple_norm(node: MapNode, k: int, grid: int = _DEFAULT_GRID) -> NormEstimate:
     """Estimate of the order-k norm of node (covering the map and its
     inverse).  Orders 0 and 1 are reliable; order 2 is best-effort on
     piecewise maps.  Two steps (h, h/2) are compared and the richer h/2
@@ -93,26 +88,20 @@ def triple_norm(
     pts = grid_candidates(grid)
     value0 = max(_lifted_value_sup(node, grid, False), _lifted_value_sup(node, grid, True))
     if k == 0:
-        return NormEstimate(k, value0, grid, fd_step, 0.0, 0.0)
-    vh, keep = _partials_sup(node, pts, fd_step, k)
-    vh2, _ = _partials_sup(node, pts[keep], fd_step / 2, k)
+        return NormEstimate(k, value0, grid, _FD_STEP, 0.0, 0.0)
+    vh, keep = _partials_sup(node, pts, _FD_STEP, k)
+    vh2, _ = _partials_sup(node, pts[keep], _FD_STEP / 2, k)
     return NormEstimate(
         k=k,
         value=max(value0, vh2),
         grid=grid,
-        fd_step=fd_step,
+        fd_step=_FD_STEP,
         excluded_fraction=1.0 - float(np.mean(keep)),
         fd_discrepancy=abs(vh - vh2),
     )
 
 
-def dk_distance(
-    f: MapNode,
-    g: MapNode,
-    k: int,
-    grid: int = _DEFAULT_GRID,
-    fd_step: float = _DEFAULT_FD,
-) -> float:
+def dk_distance(f: MapNode, g: MapNode, k: int, grid: int = _DEFAULT_GRID) -> float:
     """Max over the grid of coordinate differences (global integer shift
     minimized) and of partial-derivative differences up to order k, for the
     maps and their inverses.  Partials are compared at the points whose
@@ -120,7 +109,7 @@ def dk_distance(
     if k not in (0, 1, 2):
         raise ValueError("supported orders are k in {0, 1, 2}")
     pts = grid_candidates(grid)
-    offsets = stencil_offsets(fd_step, k)
+    offsets = stencil_offsets(_FD_STEP, k)
     total = 0.0
     for inverse in (False, True):
         fv, fkeep = stencil(f, pts, offsets, inverse)
@@ -131,19 +120,16 @@ def dk_distance(
         total = max(total, float(np.max(np.abs(circle_diff(fv[0], gv[0])))))
         keep = fkeep & gkeep
         if k >= 1 and keep.any():
-            pf = central_partials(fv[:, keep], fd_step)
-            pg = central_partials(gv[:, keep], fd_step)
+            pf = central_partials(fv[:, keep], _FD_STEP)
+            pg = central_partials(gv[:, keep], _FD_STEP)
             total = max(total, max(float(np.max(np.abs(a - b))) for a, b in zip(pf, pg)))
     return total
 
 
-def check_submultiplicative(f: MapNode, g: MapNode, k: int = 1, grid: int = 47) -> dict:
-    """|f o g|_1 <= C * |f|_1 * |g|_1 with C = 4 (chain-rule slack)."""
-    if k != 1:
-        raise ValueError("the composition bound is checked at k = 1")
-    nf = triple_norm(f, 1, grid=grid).value
-    ng = triple_norm(g, 1, grid=grid).value
-    nfg = triple_norm(Composite(nodes=(f, g)), 1, grid=grid).value
+def check_submultiplicative(f: MapNode, g: MapNode) -> dict:
+    """|f o g|_1 <= C * |f|_1 * |g|_1 with C = 4 (chain-rule slack), on a
+    47-point grid."""
+    nf, ng, nfg = (triple_norm(h, 1, grid=47).value for h in (f, g, Composite(nodes=(f, g))))
     C = 4.0
     return {
         "lhs": nfg,

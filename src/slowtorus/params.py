@@ -21,7 +21,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 # Chains serialize big integers as decimal strings; idealized sequences are
 # capped at MAX_IDEALIZED_DIGITS, so allow conversions up to that size.
@@ -143,7 +143,6 @@ class CustomStep:
     k: int = 1
     l: int = 1
     l_prime: int = 1
-    m_smooth: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -166,7 +165,6 @@ class ParamProfile:
     r: int = 4
     K: int = 2
     relax_eps: bool = False
-    relaxed_eps: Fraction = Fraction(1, 8)
     custom: tuple[CustomStep, ...] = ()
 
     def __post_init__(self):
@@ -226,11 +224,11 @@ class ParamProfile:
 
         Exact schedule: 1/n**4 whenever q_n is large enough for the
         q_n > 1/eps_n requirement, else 1/(2 q_n) (the requirement is then
-        unsatisfiable and validate_chain reports it).  Relaxed schedule: a
-        fixed width that keeps transition zones wide on desk grids.
+        unsatisfiable and validate_chain reports it).  Relaxed schedule: the
+        fixed width 1/8, which keeps transition zones wide on desk grids.
         """
         if self.relax_eps:
-            return self.relaxed_eps
+            return Fraction(1, 8)
         n4 = n**4
         eps = Fraction(1, n4) if q > n4 else Fraction(1, 2 * q)
         # Keep the width usable as a twist parameter even at the base stage.
@@ -239,10 +237,6 @@ class ParamProfile:
     def m_for(self, n: int) -> int:
         if self.regime == "poly":
             return self.K - 1
-        if self.regime == "custom":
-            step = self.custom_step(n)
-            if step.m_smooth is not None:
-                return step.m_smooth
         return max(0, n - 1)
 
     def stage(self, n: int, p: int, q: int) -> StageParams:

@@ -100,7 +100,8 @@ class WordSelection:
         return "\n".join(lines) + "\n"
 
     @staticmethod
-    def from_text(text: str, verify: bool = False) -> "WordSelection":
+    def from_text(text: str) -> "WordSelection":
+        """An unverified selection; verify_selection checks it."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         s_, k_, n_, eps_, seed_ = lines[0].split()
         s, k, n, seed = int(s_), int(k_), int(n_), int(seed_)
@@ -110,13 +111,9 @@ class WordSelection:
         )
         if words.shape != (n, k):
             raise ValueError("selection body does not match its header")
-        sel = WordSelection(
+        return WordSelection(
             alphabet_size=s, k=k, eps=float(eps_), words=words, seed=seed, verified=False
         )
-        if verify:
-            rep = verify_selection(sel)
-            sel = replace(sel, verified=rep.passed, report=rep)
-        return sel
 
 
 @dataclass(frozen=True)

@@ -455,12 +455,54 @@ def test_run_out_of_range_exits_before_building(tmp_path, forbid_build, capsys, 
 def test_run_budget_estimate_two_stages(tmp_path, capsys):
     # per stage (grid^2 + hamming samples) * largest horizon: stage 2 has
     # horizons 1, 8, 512 (q_next capped), stage 3 has horizons 1, 512, so
-    # (400 + 2000) * (512 + 512) = 2457600
+    # (400 + 2000) * (512 + 512) = 2457600; and per stage the witness pairs
+    # at min(q_next, cap) = 512 times: 12 points at stage 2 and 768, cut to
+    # 512, at stage 3, so (66 + 130816) * 512 = 67011584
     cfg_path, _ = write_config(
         tmp_path, n_max=3, horizon_cap=512, hamming_samples=2000, max_orbit_evals=1e6
     )
     assert cli.main(["run", "--config", str(cfg_path)]) == cli.EXIT_BUDGET
-    assert "estimated 2.46e+06 orbit evaluations" in capsys.readouterr().err
+    assert "estimated 6.95e+07 orbit evaluations" in capsys.readouterr().err
+
+
+def test_run_budget_counts_witness_pair_times(tmp_path, capsys):
+    # stage 3 alone at cap 64: the grid and the samples make (400 + 800) * 64
+    # = 76800 orbit evaluations, under the limit, but the 512 witness points
+    # make 130816 pairs * 64 times, over it
+    cfg_path, outdir = write_config(
+        tmp_path, n_min=3, n_max=3, horizon_cap=64, hamming_samples=800, max_orbit_evals=1e6
+    )
+    assert cli.main(["run", "--config", str(cfg_path)]) == cli.EXIT_BUDGET
+    err = capsys.readouterr().err
+    assert "estimated 8.45e+06 orbit evaluations and witness pair-times > 1e+06" in err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "override",
+    [{"regime": "foo"}, {"kl_schedule": []}, {"regime": "intermediate", "r": 3}, {"q1": 1}],
+    ids=["regime-foo", "empty-schedule", "intermediate-r3", "q1-1"],
+)
+@pytest.mark.parametrize("command", ["params", "run", "describe"])
+def test_unbuildable_profile_exits_construction(tmp_path, capsys, override, command):
+    cfg_path, outdir = write_config(tmp_path, **override)
+    assert cli.main([command, "--config", str(cfg_path)]) == cli.EXIT_CONSTRUCTION
+    assert capsys.readouterr().err.startswith("construction error: ")
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "command, construction, seed",
+    [("run", "untwisted", -1), ("run", "weak_mixing", -3), ("describe", "weak_mixing", -3)],
+)
+def test_negative_seed_exits_before_building(
+    tmp_path, forbid_build, capsys, command, construction, seed
+):
+    cfg_path, outdir = write_config(tmp_path, construction=construction)
+    argv = [command, "--config", str(cfg_path), "--seed", str(seed)]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == f"validation failure: seed must be >= 0, got {seed}\n"
+    assert not outdir.exists()
 
 
 def test_run_two_eps_counts_match_greedy(tmp_path):

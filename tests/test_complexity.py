@@ -114,11 +114,10 @@ def test_grid_must_resolve_radius():
 
 def test_explicit_candidate_list():
     pts = np.array([[0.1, 0.1], [0.2, 0.1], [0.6, 0.1], [0.6, 0.7]])
-    cfg = cx.BowenConfig(n_time=3, eps=0.2, points=pts)
-    res = cx.max_separated(ROT_SYS, cfg)
+    kept = cx.greedy_centers(cx.orbit_array(ROT_SYS, pts, range(cx.fold_times(ROT_SYS, 3))), 0.2)
     # (0.1,0.1) excludes (0.2,0.1); the other two stay
-    assert res.count == 3
-    assert np.array_equal(res.witnesses[0], pts[0])
+    assert len(kept) == 3
+    assert np.array_equal(pts[kept][0], pts[0])
 
 
 @pytest.mark.parametrize("times", [[0, 1, 2], range(1, 4), range(0, 8, 2), 3])
@@ -548,6 +547,24 @@ def test_bowen_counts_fold_exactly(untwisted_sys2):
     orbits = cx.orbit_array(sys, cx.grid_candidates(32), range(4096))
     for m in horizons:
         assert counts[m, 0.125] == len(cx.greedy_centers(orbits[:m], 0.125)), m
+
+
+def test_bowen_counts_run_each_folded_horizon_once(monkeypatch):
+    # q_next = 512 and period 8 give w = 64: horizons 64 and 128 both read
+    # the first 64 times, so two radii take 3 greedy runs each, not 4
+    from slowtorus.experiments import build_systems, desk_profile
+
+    sys = build_systems("untwisted", desk_profile([(1, 2, 4), (1, 8, 8), (1, 1, 64)]), 2).system(2)
+    assert df.orbit_period(sys.H, sys.alpha_next) == 64
+    greedy, calls = cx.greedy_centers, []
+    monkeypatch.setattr(cx, "greedy_centers", lambda o, eps: calls.append(len(o)) or greedy(o, eps))
+    horizons, radii = (1, 8, 64, 128), (0.125, 0.25)
+    counts = cx.bowen_counts(sys, 20, horizons, radii)
+    assert calls == [1, 8, 64] * 2
+    orbits = cx.orbit_array(sys, cx.grid_candidates(20), range(128))
+    for m in horizons:
+        for eps in radii:
+            assert counts[m, eps] == len(greedy(orbits[:m], eps)), (m, eps)
 
 
 def test_max_separated_and_sandwich_fold_exactly(untwisted_built):

@@ -246,7 +246,7 @@ def test_verify_memory_stays_lean():
 
 def test_verify_rejects_symbols_outside_alphabet():
     with pytest.raises(ValueError, match=r"symbol 9 lies outside the alphabet 0\.\.3"):
-        WordSelection.from_text("4 4 1 0.1 0\n0129\n", verify=True)
+        verify_selection(WordSelection.from_text("4 4 1 0.1 0\n0129\n"))
     words = np.array([[0, 1, -1, 2]])
     sel = WordSelection(alphabet_size=4, k=4, eps=0.1, words=words, seed=0, verified=False)
     with pytest.raises(ValueError, match=r"symbol -1 lies outside the alphabet 0\.\.3"):
@@ -295,12 +295,12 @@ def test_assemble_shift_permutes_frequencies():
 def test_serialization_roundtrip():
     sel = sample_selection(s=4, k=32, n_words=5, eps=0.25, seed=11)
     text = sel.to_text()
-    again = WordSelection.from_text(text, verify=True)
+    again = WordSelection.from_text(text)
     assert np.array_equal(again.words, sel.words)
     assert again.alphabet_size == sel.alphabet_size
     assert again.eps == sel.eps
     assert again.seed == sel.seed
-    assert again.verified == sel.verified
+    assert verify_selection(again).passed == sel.verified
 
 
 def test_base36_symbols_roundtrip():
