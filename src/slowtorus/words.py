@@ -7,18 +7,21 @@ random positions, deficits refilled left-to-right in symbol order), then
 verified exhaustively: for every ordered pair and every shift t < (1-eps)*k
 (t >= 1 when a word is compared against itself) the normalized Hamming
 distance over the overlap must reach 1 - 1/s - eps*s.  Verification is
-exhaustive, never probabilistic: once per sampling round, FFT
-cross-correlations of the symbol indicators, taken over blocks of words and
-rounded under a 0.25 guard, give the exact integer match count of every
-(pair, shift); each is decided against the exact rational threshold in
-integers, and the failing words are returned for resampling.
+exhaustive, never probabilistic: FFT cross-correlations of the symbol
+indicators, taken over panels and blocks of words (each word transformed once
+per panel) and rounded under a 0.25 guard, give the exact integer match count
+of every (pair, shift); each is decided against the exact rational threshold
+in integers, and the failing words are returned for resampling.  The first
+sampling round checks every comparison; later rounds check only those of the
+redrawn words, since every comparison of two kept words passed the round
+before.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -141,65 +144,170 @@ class SelectionReport:
 
 # Cap on the correlation values held for one block pair: blocks of w words
 # with w*w*L <= cap, where L is the FFT length.  2**16 gives 2x2 blocks at
-# k = 4000 and 8x8 at k = 500, and keeps the blocks' spectra, products and
+# k = 4000 and 8x8 at k = 500, and keeps the blocks' products and
 # correlations to about a megabyte.
 _BLOCK_CORR = 1 << 16
+# Cap on the spectra held for one panel of rows, s*(L/2 + 1) complex128
+# values per word: 1.5 MiB holds all 40 words at s = 4 and k = 500, and 5
+# at k = 4000.
+_PANEL_BYTES = 3 << 19
+
+_NO_VIOL = np.iinfo(np.int64).max
+
+
+class _ShiftScan:
+    """The shifts every comparison of a selection runs over, their exact
+    integer limits, and the first violation of each word.
+
+    Pairwise shifts are strict (t < (1-eps)k); the self comparison also
+    covers the boundary shift t = (1-eps)k when it is an integer.  A (pair,
+    shift) with m matches over an overlap of o positions violates when its
+    distance 1 - m/o is below 1 - p/d, where p/d = 1/s + eps*s exactly; in
+    integers, when m > (o*p) // d.
+    """
+
+    def __init__(self, sel: WordSelection):
+        s, k = sel.alphabet_size, sel.k
+        words = np.asarray(sel.words)
+        if words.size and (words.min() < 0 or words.max() >= s):
+            bad = int(words.min()) if words.min() < 0 else int(words.max())
+            raise ValueError(f"symbol {bad} lies outside the alphabet 0..{s - 1}")
+        self.words, self.s, self.n = words, s, words.shape[0]
+        bound = Fraction(1, s) + Fraction(sel.eps) * s  # exact: thr = 1 - bound
+        rest = (1 - Fraction(sel.eps)) * k
+        t_pair_end = math.ceil(rest)  # exclusive
+        t_self_last = math.floor(rest)  # inclusive
+        self.n_shifts = max(1, max(t_pair_end, t_self_last + 1))
+        self.T = min(self.n_shifts, k)
+        shifts = np.arange(self.T)
+        self.overlap = k - shifts
+        # counts lie in 0..k, so clipping keeps every `m > limit` exact in int64
+        p, d = bound.numerator, bound.denominator
+        self.limit = np.array(
+            [min(max((o * p) // d, -1), k) for o in self.overlap.tolist()], dtype=np.int64
+        )
+        self.pair_t = (shifts < t_pair_end) & (self.n > 1)
+        self.self_t = (shifts >= 1) & (shifts <= t_self_last)
+        # per word: the first (t, i, j), as t*n*n + i*n + j, where it is the
+        # later word of a violating comparison
+        self.first_viol = np.full(self.n, _NO_VIOL, dtype=np.int64)
+
+    def counts(
+        self, order: Array, n_rows: int, visit: Callable[[Array, Array, Array], None]
+    ) -> None:
+        """Call visit(i, j, m) with m[a, b, t] = #{p : w_i[p] == w_j[p + t]}
+        for i = i[a, b], j = j[a, b] and t < T.  Every ordered comparison
+        with a word of order[:n_rows] is visited once, self ones included.
+
+        The counts are exact integers, read off FFT cross-correlations: the
+        sum over the symbols of the correlations of their float64
+        indicators, zero-padded to a length L of at least 2k - 1.  One
+        inverse transform per unordered pair gives both orders, m_ij(t) at
+        index t and m_ji(t) at index L - t.  The correlations are rounded to
+        integers, and ArithmeticError is raised if any lies more than 0.25
+        from its integer.  The rows order[:n_rows] come in panels whose
+        spectra fit in ``_PANEL_BYTES``, each correlated with its own words
+        and every later word of ``order`` in blocks whose correlations hold
+        at most ``_BLOCK_CORR`` values; a block's spectra are computed once
+        per panel, so memory does not grow with the number of words.
+        """
+        words, s, n, T = self.words, self.s, self.n, self.T
+        size = 1 << (2 * words.shape[1] - 1).bit_length()
+        width = max(1, min(n, math.isqrt(_BLOCK_CORR // size)))  # words per block
+        freqs = size // 2 + 1
+        panel = max(1, _PANEL_BYTES // (s * freqs * 16))  # rows per panel
+        symbols = np.arange(s, dtype=words.dtype)[:, None]
+
+        def spectra(lo: int, hi: int, out: Optional[Array] = None) -> Array:
+            """The spectra of the symbol indicators of order[lo:hi]."""
+            ind = (words[order[lo:hi], None, :] == symbols).astype(np.float64)
+            return np.fft.rfft(ind, size, out=out)
+
+        def exact(f_rows: Array, f_cols: Array) -> Array:
+            """The correlations of two blocks' words, rounded to int64."""
+            acc = f_rows[:, None, 0] * f_cols[None, :, 0]
+            for a in range(1, s):
+                acc += f_rows[:, None, a] * f_cols[None, :, a]
+            corr = np.fft.irfft(acc, size)
+            del acc  # freed before the counts are allocated, to bound the peak
+            m = np.empty(corr.shape, dtype=np.int64)
+            np.rint(corr, out=m, casting="unsafe")
+            corr -= m
+            if np.abs(corr, out=corr).max() > 0.25:
+                raise ArithmeticError("cross-correlation too inexact to round")
+            return m
+
+        def visit_block(r0: int, r1: int, c0: int, c1: int, m: Array) -> None:
+            i, j = np.meshgrid(order[r0:r1], order[c0:c1], indexing="ij")
+            visit(i, j, m[..., :T])
+            if r0 != c0:
+                # m_ji(t) sits at index L - t of the correlation of (i, j)
+                visit(j, i, np.concatenate([m[..., :1], m[..., : -T : -1]], axis=-1))
+
+        # one buffer for the conjugated spectra of every panel
+        f_panel = np.empty((min(panel, n_rows), s, freqs), dtype=np.complex128)
+        for lo in range(0, n_rows, panel):
+            hi = min(lo + panel, n_rows)
+            rows = [(a, min(a + width, hi)) for a in range(lo, hi, width)]
+            for a, b in rows:
+                spectra(a, b, out=f_panel[a - lo : b - lo])
+            np.conjugate(f_panel, out=f_panel)
+            for c0, c1 in rows + [(c, min(c + width, n)) for c in range(hi, n, width)]:
+                f_cols = np.conj(f_panel[c0 - lo : c1 - lo]) if c0 < hi else spectra(c0, c1)
+                for r0, r1 in rows:
+                    if r0 > c0:
+                        break
+                    visit_block(r0, r1, c0, c1, exact(f_panel[r0 - lo : r1 - lo], f_cols))
+
+    def note(self, i: Array, j: Array, m: Array) -> None:
+        """Record the violations among the counts m of comparisons (i, j)."""
+        viol = m > self.limit
+        if viol.any():
+            a, b, t = np.nonzero(viol)
+            n = self.n
+            vi, vj = i[a, b], j[a, b]
+            ok = np.where(vi == vj, self.self_t[t], self.pair_t[t])
+            vi, vj, t = vi[ok], vj[ok], t[ok]
+            np.minimum.at(self.first_viol, np.maximum(vi, vj), t * n * n + vi * n + vj)
+
+    def failing(self) -> set[int]:
+        """The later word of every violating comparison noted so far.
+
+        A set of ints iterates in hash-slot order (value modulo table size:
+        30, 3, 17 iterate 17, 3, 30); insertion order only decides which of
+        two colliding ints comes first, so the words go in in scan order:
+        by their first violation (t, i, j).
+        """
+        hit = np.flatnonzero(self.first_viol != _NO_VIOL)
+        return set(hit[np.argsort(self.first_viol[hit])].tolist())
 
 
 def verify_selection(sel: WordSelection) -> SelectionReport:
     """Exhaustive check of uniformity and all pair/shift separations.
 
     The match count m_ij(t) = #{p : w_i[p] == w_j[p + t]} of every ordered
-    pair (self pairs included) and every shift t is an exact integer, read
-    off one FFT cross-correlation: the sum over the symbols of the
-    correlations of their float64 indicators, zero-padded to a length L
-    of at least 2k - 1.  One inverse transform per unordered pair gives
-    both orders, m_ij(t) at index t and m_ji(t) at index L - t.  The
-    correlations are rounded to integers, and ArithmeticError is raised if
-    any lies more than 0.25 from its integer.  Words are taken in blocks
-    whose correlations hold at most ``_BLOCK_CORR`` values, so memory does
-    not grow with the number of words.
-
-    A (pair, shift) with m matches over an overlap of o positions violates
-    when its distance 1 - m/o is below 1 - p/d, where p/d = 1/s + eps*s
-    exactly; in integers, when m > (o*p) // d.  The report's distances are
-    1 - m/o in float64; its verdict and failing words come from the integer
-    test alone.  Each reduction keeps the order of a scan over the shifts,
-    row-major over (i, j) within a shift: the first maximum per shift, the
-    first minimum over the shifts (pair before self), and ``failing`` filled
-    in the order its words first violate.
+    pair (self pairs included) and every shift t is an exact integer from
+    the blocked FFT cross-correlations of ``_ShiftScan.counts``, which
+    transforms each word once per panel of rows.  Each (pair, shift) is
+    decided against the exact rational threshold in integers: the report's
+    distances are 1 - m/o in float64, and its verdict and failing words come
+    from the integer test alone.  Each reduction keeps the order of a scan
+    over the shifts, row-major over (i, j) within a shift: the first maximum
+    per shift, the first minimum over the shifts (pair before self), and
+    ``failing`` filled in the order its words first violate.
     """
     s, k = sel.alphabet_size, sel.k
-    words = np.asarray(sel.words)
-    n = words.shape[0]
-    if words.size and (words.min() < 0 or words.max() >= s):
-        bad = int(words.min()) if words.min() < 0 else int(words.max())
-        raise ValueError(f"symbol {bad} lies outside the alphabet 0..{s - 1}")
+    scan = _ShiftScan(sel)
+    n, T, overlap = scan.n, scan.T, scan.overlap
+    pair_t, self_t = scan.pair_t, scan.self_t
     thr = separation_threshold(s, sel.eps)
-    bound = Fraction(1, s) + Fraction(sel.eps) * s  # exact: thr = 1 - bound
     target = k // s
     uniform = True
-    for row in words:
+    for row in scan.words:
         counts = np.bincount(row, minlength=s)
         if not np.all(counts == target):
             uniform = False
             break
-    # pairwise shifts are strict (t < (1-eps)k); the self comparison also
-    # covers the boundary shift t = (1-eps)k when it is an integer
-    rest = (1 - Fraction(sel.eps)) * k
-    t_pair_end = math.ceil(rest)  # exclusive
-    t_self_last = math.floor(rest)  # inclusive
-    n_shifts = max(1, max(t_pair_end, t_self_last + 1))
-    T = min(n_shifts, k)
-    shifts = np.arange(T)
-    overlap = k - shifts
-    # counts lie in 0..k, so clipping keeps every `m > limit` exact in int64
-    limit = np.array(
-        [min(max((o * bound.numerator) // bound.denominator, -1), k) for o in overlap.tolist()],
-        dtype=np.int64,
-    )
-    pair_t = (shifts < t_pair_end) & (n > 1)
-    self_t = (shifts >= 1) & (shifts <= t_self_last)
     # Per shift, the most matches of a pair i != j, folded with the scan's
     # tie-break into one key m*n*n + (n*n - 1 - (i*n + j)): the largest key
     # is the row-major first maximum.  Likewise m*n + (n - 1 - i) for a word
@@ -207,13 +315,8 @@ def verify_selection(sel: WordSelection) -> SelectionReport:
     nn = n * n
     pair_key = np.full(T, -1, dtype=np.int64)
     self_key = np.full(T, -1, dtype=np.int64)
-    # per word: the first (t, i, j), as t*n*n + i*n + j, where it is the
-    # later word of a violating comparison
-    no_viol = np.iinfo(np.int64).max
-    first_viol = np.full(n, no_viol, dtype=np.int64)
 
-    def scan(i: Array, j: Array, m: Array) -> None:
-        """Fold the counts m[a, b, t] of the pairs (i[a, b], j[a, b])."""
+    def fold(i: Array, j: Array, m: Array) -> None:
         same = i == j
         key = m * nn + (nn - 1 - (i * n + j))[..., None]
         key[same] = -1
@@ -221,45 +324,13 @@ def verify_selection(sel: WordSelection) -> SelectionReport:
         if same.any():
             own = m[same] * n + (n - 1 - i[same])[:, None]
             np.maximum(self_key, own.max(axis=0), out=self_key)
-        a, b, t = np.nonzero(m > limit)
-        if a.size:
-            vi, vj = i[a, b], j[a, b]
-            ok = np.where(vi == vj, self_t[t], pair_t[t])
-            vi, vj, t = vi[ok], vj[ok], t[ok]
-            np.minimum.at(first_viol, np.maximum(vi, vj), t * nn + vi * n + vj)
+        scan.note(i, j, m)
 
-    size = 1 << (2 * k - 1).bit_length()
-    width = max(1, min(n, math.isqrt(_BLOCK_CORR // size)))  # words per block
-    symbols = np.arange(s, dtype=words.dtype)[:, None]
-
-    def spectra(blk: Array) -> Array:
-        """(len(blk), s, size // 2 + 1): spectra of the symbol indicators."""
-        return np.fft.rfft((words[blk, None, :] == symbols).astype(np.float64), size)
-
-    blocks = [np.arange(lo, min(lo + width, n)) for lo in range(0, n, width)]
-    for bi, rows in enumerate(blocks):
-        f_rows = spectra(rows)
-        np.conjugate(f_rows, out=f_rows)
-        for cols in blocks[bi:]:
-            f_cols = np.conj(f_rows) if cols is rows else spectra(cols)
-            acc = f_rows[:, None, 0] * f_cols[None, :, 0]
-            for a in range(1, s):
-                acc += f_rows[:, None, a] * f_cols[None, :, a]
-            corr = np.fft.irfft(acc, size)
-            m = np.rint(corr)
-            corr -= m
-            if np.abs(corr).max() > 0.25:
-                raise ArithmeticError("cross-correlation too inexact to round")
-            m = m.astype(np.int64)
-            i, j = np.meshgrid(rows, cols, indexing="ij")
-            scan(i, j, m[..., :T])
-            if cols is not rows:
-                # m_ji(t) sits at index size - t of the correlation of (i, j)
-                scan(j, i, np.concatenate([m[..., :1], m[..., : -T : -1]], axis=-1))
+    scan.counts(np.arange(n), n, fold)
 
     pair_m, pair_at = np.divmod(pair_key, nn)
     self_m, self_at = np.divmod(self_key, n)
-    min_pair = np.full(n_shifts, np.inf)
+    min_pair = np.full(scan.n_shifts, np.inf)
     min_pair[:T][pair_t] = 1.0 - pair_m[pair_t] / overlap[pair_t]
     min_self_t = np.where(self_t, 1.0 - self_m / overlap, np.inf)
     min_self = float(min_self_t.min())
@@ -274,20 +345,25 @@ def verify_selection(sel: WordSelection) -> SelectionReport:
         else:
             i, j = divmod(nn - 1 - int(pair_at[t]), n)
             worst = (i, j, t, float(min_pair[t]))
-    # resample the later word of each offending pair.  A set of ints iterates
-    # in hash-slot order (value modulo table size: 30, 3, 17 iterate 17, 3,
-    # 30); insertion order only decides which of two colliding ints comes
-    # first, so insert in scan order to fix that choice
-    hit = np.flatnonzero(first_viol != no_viol)
-    failing = set(hit[np.argsort(first_viol[hit])].tolist())
     return SelectionReport(
         threshold=thr,
         uniform=uniform,
         min_pairwise_per_shift=min_pair,
         min_self_sliding=min_self,
         worst_pair=worst,
-        failing=failing,
+        failing=scan.failing(),
     )
+
+
+def _failing_after(sel: WordSelection, redrawn: Sequence[int]) -> set[int]:
+    """``verify_selection(sel).failing`` when every violating comparison of
+    ``sel`` has a word in ``redrawn``: only those comparisons are scanned,
+    in both orders and with the redrawn words' self shifts."""
+    scan = _ShiftScan(sel)
+    rows = np.unique(np.asarray(redrawn, dtype=np.int64))
+    order = np.concatenate([rows, np.setdiff1d(np.arange(scan.n), rows)])
+    scan.counts(order, rows.size, scan.note)
+    return scan.failing()
 
 
 def _repair_uniform(word: Array, s: int, rng: np.random.Generator) -> Array:
@@ -330,8 +406,14 @@ def sample_selection(
 
     Deterministic given the seed (counter-based generator).  Raises
     SelectionError with the worst offending pair/shift when the retry budget
-    is exhausted, which signals that k is below the feasibility threshold for
-    these (s, eps).
+    of ``max_rounds`` sampling rounds is exhausted, which signals that k is
+    below the feasibility threshold for these (s, eps).
+
+    Round 1 verifies every comparison.  The later word of each violating one
+    is redrawn, so two kept words cannot violate in the next round: later
+    rounds scan only the comparisons of the redrawn words, which names the
+    same failing words in the same order.  The words that pass, or the last
+    words drawn, get one full verification for their report.
     """
     if not 2 <= s <= 36:
         raise ValueError(f"alphabet must have 2 to 36 symbols (base-36 text), got {s}")
@@ -341,23 +423,33 @@ def sample_selection(
         raise ValueError(f"a selection needs at least one word, got {n_words}")
     if not 0.0 < eps < 1.0:  # eps >= 1 leaves no shift to verify
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    if max_rounds < 1:
+        raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
     rng = np.random.Generator(np.random.Philox(seed))
 
     def fresh(count: int) -> Array:
         raw = rng.integers(0, s, size=(count, k), dtype=np.uint16).astype(np.uint8)
         return np.stack([_repair_uniform(w, s, rng) for w in raw])
 
-    words = fresh(n_words)
-    report = None
-    for _ in range(max_rounds):
-        sel = WordSelection(
-            alphabet_size=s, k=k, eps=eps, words=words, seed=seed, verified=False
-        )
+    def unverified(words: Array) -> WordSelection:
+        return WordSelection(alphabet_size=s, k=k, eps=eps, words=words, seed=seed, verified=False)
+
+    sel = unverified(fresh(n_words))
+    report = verify_selection(sel)
+    failing = report.failing
+    for _ in range(1, max_rounds):
+        if not failing:
+            break
+        redrawn = list(failing)
+        words = sel.words.copy()
+        words[redrawn] = fresh(len(redrawn))
+        sel = unverified(words)
+        failing = _failing_after(sel, redrawn)
+        report = None
+    if report is None:  # a retry round ran: report on the words it checked
         report = verify_selection(sel)
-        if report.passed:
-            return replace(sel, verified=True, report=report)
-        words = words.copy()
-        words[list(report.failing)] = fresh(len(report.failing))
+    if report.passed:
+        return replace(sel, verified=True, report=report)
     raise SelectionError(
         f"retry budget exhausted after {max_rounds} rounds; worst pair "
         f"(i={report.worst_pair[0]}, j={report.worst_pair[1]}, "

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -162,32 +163,99 @@ def small_selections(draw):
     return s, eps, [draw(hst.permutations(balanced)) for _ in range(n)]
 
 
+def budgets(mp, s, k, block, panel):
+    """Blocks of `block` words and panels of `panel` rows, so that
+    comparisons cross block and panel boundaries."""
+    mp.setattr(words_module, "_BLOCK_CORR", block * block * fft_length(k))
+    mp.setattr(words_module, "_PANEL_BYTES", panel * s * (fft_length(k) // 2 + 1) * 16)
+
+
 @settings(max_examples=200, deadline=None)
-@given(case=small_selections(), block=hst.integers(min_value=1, max_value=3))
+@given(
+    case=small_selections(),
+    block=hst.integers(min_value=1, max_value=3),
+    panel=hst.integers(min_value=1, max_value=3),
+)
 # passes at distance exactly 2/5 = 1 - 1/2 - 0.05*2, which float32 puts below
-@example(case=(2, 0.05, [[0, 0, 0, 1, 1, 0, 1, 1]]), block=1)
+@example(case=(2, 0.05, [[0, 0, 0, 1, 1, 0, 1, 1]]), block=1, panel=1)
 # (1 - 0.1)*10 is 9.0 in floats but just below 9 exactly, so the self shift
 # t=9 (overlap 1, one match) is out of range
-@example(case=(2, 0.1, [[0, 0, 0, 1, 0, 1, 1, 1, 1, 0]]), block=1)
+@example(case=(2, 0.1, [[0, 0, 0, 1, 0, 1, 1, 1, 1, 0]]), block=1, panel=1)
 # (1 - 1/8)*8 = 7 exactly: t=7 is a self shift but not a pair shift, and
 # only pairs match there
-@example(case=(2, 0.125, [[0, 0, 1, 1, 0, 1, 0, 1], [1, 1, 0, 0, 1, 0, 1, 0]]), block=1)
+@example(
+    case=(2, 0.125, [[0, 0, 1, 1, 0, 1, 0, 1], [1, 1, 0, 0, 1, 0, 1, 0]]), block=1, panel=1
+)
 # blocks {0, 1} and {2}: at the worst shift t=2, pair (1, 0) of the first
 # block and pair (0, 2) of the second match equally; (0, 2) comes first
 @example(
     case=(2, 0.1, [[0, 1, 1, 0, 0, 0, 1, 1], [1, 0, 0, 0, 1, 1, 0, 1], [1, 1, 0, 1, 1, 0, 0, 0]]),
     block=2,
+    panel=3,
 )
-def test_verify_matches_exact_reference(case, block):
+# panels {0, 1, 2} and {3, 4} cut the blocks {0, 1}, {2}, {3, 4}: word 2
+# closes a panel and is a row block of its own
+@example(
+    case=(
+        2,
+        0.1,
+        [
+            [0, 1, 1, 0, 0, 0, 1, 1],
+            [1, 0, 0, 0, 1, 1, 0, 1],
+            [1, 1, 0, 1, 1, 0, 0, 0],
+            [0, 1, 1, 0, 0, 0, 1, 1],
+            [0, 1, 0, 1, 0, 1, 0, 1],
+        ],
+    ),
+    block=2,
+    panel=3,
+)
+def test_verify_matches_exact_reference(case, block, panel):
     s, eps, rows = case
     words = np.array(rows, dtype=np.uint8)
     k = words.shape[1]
     sel = WordSelection(alphabet_size=s, k=k, eps=eps, words=words, seed=0, verified=False)
-    # blocks of `block` words, so that comparisons cross block boundaries
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(words_module, "_BLOCK_CORR", block * block * fft_length(k))
+        budgets(mp, s, k, block, panel)
         rep = verify_selection(sel)
     assert_report_is(rep, words, s, eps)
+
+
+def violating_pairs(words, s, eps):
+    """The word pairs (i, j), i <= j, of every violating comparison."""
+    n, k = words.shape
+    rest = (1 - Fraction(eps)) * k
+    bound = Fraction(1, s) + Fraction(eps) * s  # the threshold is 1 - bound
+    pairs = set()
+    for t, m in zip(range(k), shift_counts(words, s)):
+        for i, j in zip(*np.nonzero(m > math.floor((k - t) * bound))):
+            if (1 <= t <= rest) if i == j else t < rest:
+                pairs.add((int(min(i, j)), int(max(i, j))))
+    return pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=small_selections(),
+    block=hst.integers(min_value=1, max_value=3),
+    panel=hst.integers(min_value=1, max_value=3),
+    data=hst.data(),
+)
+def test_retry_scan_names_the_failing_words_in_order(case, block, panel, data):
+    # a resampling round checks only the comparisons of the redrawn words;
+    # when every violating comparison has one, it names the failing words
+    # of the full verification, in the same order
+    s, eps, rows = case
+    words = np.array(rows, dtype=np.uint8)
+    n, k = words.shape
+    # one word of each violating pair, and any others
+    redrawn = {data.draw(hst.sampled_from(pair)) for pair in sorted(violating_pairs(words, s, eps))}
+    redrawn |= set(data.draw(hst.lists(hst.integers(0, n - 1), min_size=0 if redrawn else 1)))
+    sel = WordSelection(alphabet_size=s, k=k, eps=eps, words=words, seed=0, verified=False)
+    with pytest.MonkeyPatch.context() as mp:
+        budgets(mp, s, k, block, panel)
+        failing = words_module._failing_after(sel, data.draw(hst.permutations(sorted(redrawn))))
+    assert list(failing) == list(verify_selection(sel).failing)
 
 
 def test_failing_iterates_in_scan_order():
@@ -226,6 +294,80 @@ def test_verify_matches_reference_at_scale(seed, monkeypatch):
     rep = verify(first[0])
     assert rep.failing
     assert_report_is(rep, first[0].words, 4, 1 / 16)
+
+
+def reference_rounds(s, k, n_words, eps, seed, max_rounds):
+    """The sampling rounds of a loop that verifies every comparison in every
+    round: yields (selection, report) until a report passes or max_rounds
+    reports failed."""
+    rng = np.random.Generator(np.random.Philox(seed))
+
+    def fresh(count):
+        raw = rng.integers(0, s, size=(count, k), dtype=np.uint16).astype(np.uint8)
+        return np.stack([words_module._repair_uniform(w, s, rng) for w in raw])
+
+    words = fresh(n_words)
+    for _ in range(max_rounds):
+        sel = WordSelection(alphabet_size=s, k=k, eps=eps, words=words, seed=seed, verified=False)
+        report = verify_selection(sel)
+        yield sel, report
+        if report.passed:
+            return
+        words = words.copy()
+        words[list(report.failing)] = fresh(len(report.failing))
+
+
+def report_fields(rep):
+    return (
+        rep.threshold,
+        rep.uniform,
+        rep.min_pairwise_per_shift.tolist(),
+        rep.min_self_sliding,
+        rep.worst_pair,
+        list(rep.failing),  # the iteration order resampling follows
+        rep.passed,
+    )
+
+
+# the k = 500 word seeds of the benchmark's rounds 1 and 3, with k a
+# multiple of each alphabet size
+@pytest.mark.parametrize("seed", [*range(16, 24), *range(48, 56)])
+@pytest.mark.parametrize("s, k", [(2, 500), (3, 501), (4, 500)])
+def test_retry_rounds_match_full_verification(s, k, seed):
+    rounds = list(reference_rounds(s, k, 40, 1 / 16, seed, 3))
+    for max_rounds in (1, 2, 3):
+        sel, want = rounds[min(max_rounds, len(rounds)) - 1]
+        if want.passed:
+            got = sample_selection(s, k, 40, 1 / 16, seed, max_rounds=max_rounds)
+            assert np.array_equal(got.words, sel.words) and got.verified
+            assert report_fields(got.report) == report_fields(want)
+            continue
+        with pytest.raises(SelectionError) as err:
+            sample_selection(s, k, 40, 1 / 16, seed, max_rounds=max_rounds)
+        assert str(err.value) == (
+            f"retry budget exhausted after {max_rounds} rounds; worst pair "
+            f"(i={want.worst_pair[0]}, j={want.worst_pair[1]}, "
+            f"t={want.worst_pair[2]}) at distance {want.worst_pair[3]:.4f} "
+            f"< threshold {want.threshold:.4f}"
+        )
+        assert report_fields(err.value.report) == report_fields(want)
+
+
+def test_many_round_selection_is_pinned():
+    # eight sampling rounds, seven of them retry scans
+    text = sample_selection(4, 500, 40, 1 / 16, 19).to_text()
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "53fdd616fe62d5f54b61565c3988f707e1865f64424d4630d6be52e3c9a350b3"
+
+
+@pytest.mark.parametrize("max_rounds", [0, -1])
+def test_sampling_needs_a_round(max_rounds, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a word was drawn")
+
+    monkeypatch.setattr(words_module, "_repair_uniform", no_draw)
+    with pytest.raises(ValueError, match=f"max_rounds must be at least 1, got {max_rounds}"):
+        sample_selection(s=4, k=16, n_words=2, eps=0.25, seed=0, max_rounds=max_rounds)
 
 
 def test_verify_memory_stays_lean():
