@@ -9,15 +9,18 @@ verified exhaustively: for every ordered pair and every shift t < (1-eps)*k
 distance over the overlap must reach 1 - 1/s - eps*s.  Verification is
 exhaustive, never probabilistic: FFT cross-correlations of the symbol
 indicators, taken over panels and blocks of words (each word transformed once
-per panel) and rounded under a 0.25 guard, give the exact integer match count
-of every (pair, shift); each is decided against the exact rational threshold
-in integers, and the failing words are returned for resampling.  The first
-sampling round checks every comparison; later rounds check only those of the
-redrawn words, since every comparison of two kept words passed the round
-before.
+per panel), give the exact integer match count of every (pair, shift).  Two
+column words share each transform: with B = 2**k.bit_length() > k, one
+correlation against ind_j + B*ind_j' gives m_ij + B*m_ij', which is rounded
+under a 0.25 guard and split into its low and high bits.  Each count is
+decided against the exact rational threshold in integers, and the failing
+words are returned for resampling.  The first sampling round checks every
+comparison; later rounds check only those of the redrawn words, since every
+comparison of two kept words passed the round before.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -37,6 +40,7 @@ class SelectionError(RuntimeError):
 
 
 _BASE36 = "0123456789abcdefghijklmnopqrstuvwxyz"
+_DIGITS = np.frombuffer(_BASE36.encode("ascii"), dtype=np.uint8)
 
 
 def word_to_text(word: Sequence[int]) -> str:
@@ -45,7 +49,7 @@ def word_to_text(word: Sequence[int]) -> str:
     if w.size and (w.min() < 0 or w.max() >= len(_BASE36)):
         bad = int(w.min()) if w.min() < 0 else int(w.max())
         raise ValueError(f"symbol {bad} has no base-36 digit (symbols must lie in 0..35)")
-    return "".join(_BASE36[c] for c in w.tolist())
+    return _DIGITS[w].tobytes().decode("ascii")
 
 
 def word_from_text(text: str) -> tuple[int, ...]:
@@ -155,15 +159,36 @@ _PANEL_BYTES = 3 << 19
 _NO_VIOL = np.iinfo(np.int64).max
 
 
+@functools.lru_cache(maxsize=16)
+def _shift_limits(s: int, k: int, eps: float) -> tuple[int, int, Array]:
+    """(t_pair_end, t_self_last, limit) of a selection's shift scan: the
+    exclusive end of the pair shifts, the last self shift, and, read-only,
+    the largest match count that passes at each shift t < min(k, n_shifts).
+
+    A (pair, shift) with m matches over an overlap of o positions violates
+    when its distance 1 - m/o is below 1 - p/d, where p/d = 1/s + eps*s
+    exactly; in integers, when m > (o*p) // d.  o*p is a Python int: it
+    overflows int64 when eps is not dyadic.
+    """
+    bound = Fraction(1, s) + Fraction(eps) * s  # exact: thr = 1 - bound
+    rest = (1 - Fraction(eps)) * k
+    t_pair_end = math.ceil(rest)  # exclusive
+    t_self_last = math.floor(rest)  # inclusive
+    T = min(max(1, t_pair_end, t_self_last + 1), k)
+    # counts lie in 0..k, so clipping keeps every `m > limit` exact in int64
+    p, d = bound.numerator, bound.denominator
+    limit = np.array([min(max((o * p) // d, -1), k) for o in range(k, k - T, -1)], dtype=np.int64)
+    limit.setflags(write=False)
+    return t_pair_end, t_self_last, limit
+
+
 class _ShiftScan:
     """The shifts every comparison of a selection runs over, their exact
-    integer limits, and the first violation of each word.
+    integer limits (``_shift_limits``), and the first violation of each
+    word.
 
     Pairwise shifts are strict (t < (1-eps)k); the self comparison also
-    covers the boundary shift t = (1-eps)k when it is an integer.  A (pair,
-    shift) with m matches over an overlap of o positions violates when its
-    distance 1 - m/o is below 1 - p/d, where p/d = 1/s + eps*s exactly; in
-    integers, when m > (o*p) // d.
+    covers the boundary shift t = (1-eps)k when it is an integer.
     """
 
     def __init__(self, sel: WordSelection):
@@ -173,19 +198,11 @@ class _ShiftScan:
             bad = int(words.min()) if words.min() < 0 else int(words.max())
             raise ValueError(f"symbol {bad} lies outside the alphabet 0..{s - 1}")
         self.words, self.s, self.n = words, s, words.shape[0]
-        bound = Fraction(1, s) + Fraction(sel.eps) * s  # exact: thr = 1 - bound
-        rest = (1 - Fraction(sel.eps)) * k
-        t_pair_end = math.ceil(rest)  # exclusive
-        t_self_last = math.floor(rest)  # inclusive
+        t_pair_end, t_self_last, self.limit = _shift_limits(s, k, sel.eps)
         self.n_shifts = max(1, max(t_pair_end, t_self_last + 1))
-        self.T = min(self.n_shifts, k)
+        self.T = self.limit.size
         shifts = np.arange(self.T)
         self.overlap = k - shifts
-        # counts lie in 0..k, so clipping keeps every `m > limit` exact in int64
-        p, d = bound.numerator, bound.denominator
-        self.limit = np.array(
-            [min(max((o * p) // d, -1), k) for o in self.overlap.tolist()], dtype=np.int64
-        )
         self.pair_t = (shifts < t_pair_end) & (self.n > 1)
         self.self_t = (shifts >= 1) & (shifts <= t_self_last)
         # per word: the first (t, i, j), as t*n*n + i*n + j, where it is the
@@ -203,46 +220,66 @@ class _ShiftScan:
         sum over the symbols of the correlations of their float64
         indicators, zero-padded to a length L of at least 2k - 1.  One
         inverse transform per unordered pair gives both orders, m_ij(t) at
-        index t and m_ji(t) at index L - t.  The correlations are rounded to
-        integers, and ArithmeticError is raised if any lies more than 0.25
-        from its integer.  The rows order[:n_rows] come in panels whose
+        index t and m_ji(t) at index L - t.  Two column words j and j' share
+        each transform: with B = 2**k.bit_length() > k, the column sequence
+        of a symbol is ind_j + B*ind_j' (packed before the forward
+        transform, or combined as F_j + B*F_j' from spectra already held),
+        so one product sum and one inverse transform per (row word, column
+        pair) give v = m_ij(t) + B*m_ij'(t).  v is rounded to an integer,
+        ArithmeticError is raised if it lies more than 0.25 from it, and
+        its low and high bits are the two counts.  A block of c columns
+        packs column b with b + ceil(c/2), so an odd block leaves its middle
+        column unpaired.  The rows order[:n_rows] come in panels whose
         spectra fit in ``_PANEL_BYTES``, each correlated with its own words
-        and every later word of ``order`` in blocks whose correlations hold
-        at most ``_BLOCK_CORR`` values; a block's spectra are computed once
-        per panel, so memory does not grow with the number of words.
+        and every later word of ``order`` in blocks of w words with
+        w*w*L <= ``_BLOCK_CORR``; a block's spectra are computed once per
+        panel, so memory does not grow with the number of words.
         """
         words, s, n, T = self.words, self.s, self.n, self.T
+        bits = words.shape[1].bit_length()
+        base = 1 << bits  # > k >= every count
         size = 1 << (2 * words.shape[1] - 1).bit_length()
         width = max(1, min(n, math.isqrt(_BLOCK_CORR // size)))  # words per block
         freqs = size // 2 + 1
         panel = max(1, _PANEL_BYTES // (s * freqs * 16))  # rows per panel
         symbols = np.arange(s, dtype=words.dtype)[:, None]
 
-        def spectra(lo: int, hi: int, out: Optional[Array] = None) -> Array:
-            """The spectra of the symbol indicators of order[lo:hi]."""
-            ind = (words[order[lo:hi], None, :] == symbols).astype(np.float64)
-            return np.fft.rfft(ind, size, out=out)
+        def indicators(lo: int, hi: int) -> Array:
+            """The symbol indicators of order[lo:hi], (words, s, k) bool."""
+            return words[order[lo:hi], None, :] == symbols
 
         def exact(f_rows: Array, f_cols: Array) -> Array:
-            """The correlations of two blocks' words, rounded to int64."""
+            """The correlations of rows and packed columns, rounded to int64."""
             acc = f_rows[:, None, 0] * f_cols[None, :, 0]
             for a in range(1, s):
                 acc += f_rows[:, None, a] * f_cols[None, :, a]
             corr = np.fft.irfft(acc, size)
             del acc  # freed before the counts are allocated, to bound the peak
-            m = np.empty(corr.shape, dtype=np.int64)
-            np.rint(corr, out=m, casting="unsafe")
-            corr -= m
+            v = np.empty(corr.shape, dtype=np.int64)
+            np.rint(corr, out=v, casting="unsafe")
+            corr -= v
             if np.abs(corr, out=corr).max() > 0.25:
                 raise ArithmeticError("cross-correlation too inexact to round")
-            return m
+            return v
 
-        def visit_block(r0: int, r1: int, c0: int, c1: int, m: Array) -> None:
+        def unpack(v: Array, out: Array) -> None:
+            """The counts of the low words, then of the high words, of v."""
+            half = v.shape[1]
+            np.bitwise_and(v, base - 1, out=out[:, :half])
+            np.right_shift(v[:, : out.shape[1] - half], bits, out=out[:, half:])
+
+        def visit_block(r0: int, r1: int, c0: int, c1: int, v: Array) -> None:
             i, j = np.meshgrid(order[r0:r1], order[c0:c1], indexing="ij")
-            visit(i, j, m[..., :T])
+            m = np.empty((r1 - r0, c1 - c0, T), dtype=np.int64)
+            unpack(v[..., :T], m)
+            visit(i, j, m)
             if r0 != c0:
-                # m_ji(t) sits at index L - t of the correlation of (i, j)
-                visit(j, i, np.concatenate([m[..., :1], m[..., : -T : -1]], axis=-1))
+                # m_ji(t) sits at index L - t of the correlation of (i, j),
+                # and m_ji(0) = m_ij(0)
+                rev = np.empty_like(m)
+                rev[..., 0] = m[..., 0]
+                unpack(v[..., : size - T : -1], rev[..., 1:])
+                visit(j, i, rev)
 
         # one buffer for the conjugated spectra of every panel
         f_panel = np.empty((min(panel, n_rows), s, freqs), dtype=np.complex128)
@@ -250,25 +287,39 @@ class _ShiftScan:
             hi = min(lo + panel, n_rows)
             rows = [(a, min(a + width, hi)) for a in range(lo, hi, width)]
             for a, b in rows:
-                spectra(a, b, out=f_panel[a - lo : b - lo])
+                ind = indicators(a, b).astype(np.float64)
+                np.fft.rfft(ind, size, out=f_panel[a - lo : b - lo])
             np.conjugate(f_panel, out=f_panel)
             for c0, c1 in rows + [(c, min(c + width, n)) for c in range(hi, n, width)]:
-                f_cols = np.conj(f_panel[c0 - lo : c1 - lo]) if c0 < hi else spectra(c0, c1)
+                half = (c1 - c0 + 1) // 2
+                if c0 < hi:
+                    f = f_panel[c0 - lo : c1 - lo]
+                    f_cols = np.conj(f[:half])
+                    f_cols[: c1 - c0 - half] += base * np.conj(f[half:])
+                else:
+                    ind = indicators(c0, c1)
+                    x = ind[:half].astype(np.float64)
+                    x[: c1 - c0 - half] += base * ind[half:]
+                    f_cols = np.fft.rfft(x, size)
                 for r0, r1 in rows:
                     if r0 > c0:
                         break
                     visit_block(r0, r1, c0, c1, exact(f_panel[r0 - lo : r1 - lo], f_cols))
 
-    def note(self, i: Array, j: Array, m: Array) -> None:
-        """Record the violations among the counts m of comparisons (i, j)."""
-        viol = m > self.limit
-        if viol.any():
-            a, b, t = np.nonzero(viol)
-            n = self.n
-            vi, vj = i[a, b], j[a, b]
-            ok = np.where(vi == vj, self.self_t[t], self.pair_t[t])
-            vi, vj, t = vi[ok], vj[ok], t[ok]
-            np.minimum.at(self.first_viol, np.maximum(vi, vj), t * n * n + vi * n + vj)
+    def note(self, i: Array, j: Array, m: Array, top: Optional[Array] = None) -> None:
+        """Record the violations among the counts m of comparisons (i, j);
+        `top`, when given, is m.max(axis=(0, 1))."""
+        if top is None:
+            top = m.max(axis=(0, 1))
+        ts = np.flatnonzero(top > self.limit)
+        if not ts.size:
+            return
+        a, b, c = np.nonzero(m[..., ts] > self.limit[ts])
+        n, t = self.n, ts[c]
+        vi, vj = i[a, b], j[a, b]
+        ok = np.where(vi == vj, self.self_t[t], self.pair_t[t])
+        vi, vj, t = vi[ok], vj[ok], t[ok]
+        np.minimum.at(self.first_viol, np.maximum(vi, vj), t * n * n + vi * n + vj)
 
     def failing(self) -> set[int]:
         """The later word of every violating comparison noted so far.
@@ -311,20 +362,28 @@ def verify_selection(sel: WordSelection) -> SelectionReport:
     # Per shift, the most matches of a pair i != j, folded with the scan's
     # tie-break into one key m*n*n + (n*n - 1 - (i*n + j)): the largest key
     # is the row-major first maximum.  Likewise m*n + (n - 1 - i) for a word
-    # against itself.
+    # against itself.  A block's pair keys can raise a shift's key only where
+    # its most matches reach that key's count, so only there are they built.
     nn = n * n
     pair_key = np.full(T, -1, dtype=np.int64)
+    pair_best = np.full(T, -1, dtype=np.int64)  # pair_key // nn
     self_key = np.full(T, -1, dtype=np.int64)
 
     def fold(i: Array, j: Array, m: Array) -> None:
+        top = m.max(axis=(0, 1))
+        pairs, pair_top = m, top
         same = i == j
-        key = m * nn + (nn - 1 - (i * n + j))[..., None]
-        key[same] = -1
-        np.maximum(pair_key, key.reshape(-1, T).max(axis=0), out=pair_key)
         if same.any():
             own = m[same] * n + (n - 1 - i[same])[:, None]
             np.maximum(self_key, own.max(axis=0), out=self_key)
-        scan.note(i, j, m)
+            pairs = np.where(same[..., None], -1, m)
+            pair_top = pairs.max(axis=(0, 1))
+        hit = np.flatnonzero(pair_top >= pair_best)
+        if hit.size:
+            key = pairs[..., hit] * nn + (nn - 1 - (i * n + j))[..., None]
+            pair_key[hit] = np.maximum(pair_key[hit], key.reshape(-1, hit.size).max(axis=0))
+            pair_best[hit] = pair_top[hit]
+        scan.note(i, j, m, top)
 
     scan.counts(np.arange(n), n, fold)
 

@@ -87,22 +87,23 @@ def points(seed, n=2000):
 
 
 def tdist(a, b):
+    """The torus distance of each point of a from its point of b."""
     d = np.abs(a - b)
-    return np.max(np.minimum(d, 1 - d))
+    return np.max(np.minimum(d, 1 - d), axis=-1)
 
 
 def stack_tol(node, pts, h=1e-7):
-    """Round-off bound for a stack at pts: 1e-10 times the product, over
-    its leaves, of each leaf's largest central-difference partial (torus
-    differences at step h) on the points that leaf receives, and never
-    below 1e-8.  A stack multiplies one leaf's round-off by the stretch of
-    the leaves after it."""
-    tol = 1e-10
+    """Round-off bound for a stack at each point: 1e-10 times the product,
+    over its leaves, of the leaf's largest central-difference partial
+    (torus differences at step h) at the point's image entering that leaf,
+    and never below 1e-8.  A stack multiplies one leaf's round-off by the
+    stretch of the leaves after it."""
+    tol = np.full(len(pts), 1e-10)
     for leaf in reversed(df._leaves(node)):  # in application order
         vals, _ = df.stencil(leaf, pts, df.stencil_offsets(h, 1))
-        tol *= max(np.abs(p).max() for p in df.central_partials(vals, h))
+        tol *= np.max(np.abs(df.central_partials(vals, h)), axis=0)
         pts = leaf.forward(pts)
-    return max(tol, 1e-8)
+    return np.maximum(tol, 1e-8)
 
 
 class Drawn:
@@ -148,7 +149,7 @@ def test_inverse_undoes_forward(kind, data, seed):
     node = data.draw(NODE_STRATEGIES[kind])
     pts = points(seed)
     tol = stack_tol(node, pts) if kind == "composite" else 1e-10
-    assert tdist(node.inverse(node.forward(pts)), pts) <= tol
+    assert np.all(tdist(node.inverse(node.forward(pts)), pts) <= tol)
 
 
 @pytest.mark.parametrize("kind", sorted(NODE_STRATEGIES))
@@ -191,7 +192,7 @@ def test_commutes_with_horizontal_rotation(kind, data, seed):
     want = node.forward(pts)
     want[:, 0] = df.mod1(want[:, 0] + shift)
     tol = stack_tol(node, pts) if kind == "composite" else 1e-10
-    assert tdist(node.forward(moved), want) <= tol
+    assert np.all(tdist(node.forward(moved), want) <= tol)
 
 
 def inverse_det_error(node, pts, h):

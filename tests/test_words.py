@@ -210,6 +210,47 @@ def budgets(mp, s, k, block, panel):
     block=2,
     panel=3,
 )
+# panels of 2 rows and blocks of 3 words: the column blocks {2, 3, 4} and
+# {4, 5, 6} lie past a panel, and their middle words go unpaired
+@example(
+    case=(
+        2,
+        0.1,
+        [
+            [0, 0, 1, 0, 1, 0, 1, 1],
+            [1, 1, 0, 0, 0, 0, 1, 1],
+            [0, 0, 0, 1, 1, 0, 1, 1],
+            [1, 0, 0, 1, 0, 1, 1, 0],
+            [0, 1, 1, 1, 0, 0, 1, 0],
+            [0, 0, 0, 0, 1, 1, 1, 1],
+            [1, 1, 0, 1, 1, 0, 0, 0],
+        ],
+    ),
+    block=3,
+    panel=2,
+)
+# k = 15 = B - 1 for the packing base B = 16: past the one-row panel {0},
+# word 0 matches the column pair (1, 2) 15 times and 0 times at t=0
+@example(
+    case=(
+        3,
+        0.1,
+        [
+            [0, 0, 1, 2, 1, 0, 2, 2, 1, 0, 1, 2, 0, 2, 1],
+            [0, 0, 1, 2, 1, 0, 2, 2, 1, 0, 1, 2, 0, 2, 1],
+            [1, 1, 2, 0, 2, 1, 0, 0, 2, 1, 2, 0, 1, 0, 2],
+        ],
+    ),
+    block=2,
+    panel=1,
+)
+# k = 8 = B/2: the pair (0, 1) of the panel's own spectra packs 8 and 0
+# matches at t=0 for row 0, and 0 and 8 for row 1
+@example(
+    case=(2, 0.1, [[0, 1, 1, 0, 1, 0, 0, 1], [1, 0, 0, 1, 0, 1, 1, 0], [0, 1, 1, 0, 1, 0, 0, 1]]),
+    block=2,
+    panel=2,
+)
 def test_verify_matches_exact_reference(case, block, panel):
     s, eps, rows = case
     words = np.array(rows, dtype=np.uint8)
@@ -219,6 +260,27 @@ def test_verify_matches_exact_reference(case, block, panel):
         budgets(mp, s, k, block, panel)
         rep = verify_selection(sel)
     assert_report_is(rep, words, s, eps)
+
+
+@pytest.mark.parametrize("panel", [2, 7])
+def test_scan_visits_every_count_once(panel, monkeypatch):
+    # blocks of 3 words and 9 symbols: column pairs are packed with base 32
+    s, k, n = 9, 18, 7
+    rng = np.random.Generator(np.random.Philox(3))
+    words = np.stack([rng.permutation(np.repeat(np.arange(s, dtype=np.uint8), k // s)) for _ in range(n)])
+    sel = WordSelection(alphabet_size=s, k=k, eps=0.1, words=words, seed=0, verified=False)
+    budgets(monkeypatch, s, k, 3, panel)
+    scan = words_module._ShiftScan(sel)
+    seen = {}
+
+    def visit(i, j, m):
+        for a, b in np.ndindex(i.shape):
+            assert (i[a, b], j[a, b]) not in seen
+            seen[i[a, b], j[a, b]] = m[a, b].tolist()
+
+    scan.counts(np.arange(n), n, visit)
+    want = list(shift_counts(words, s))[: scan.T]
+    assert seen == {(i, j): [int(m[i, j]) for m in want] for i in range(n) for j in range(n)}
 
 
 def violating_pairs(words, s, eps):
