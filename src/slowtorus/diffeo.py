@@ -124,7 +124,7 @@ class SquareTwist:
         s_top = 2.0 * rho - u
         s_left = 4.0 * rho - v
         s_bottom = 6.0 * rho + u
-        return np.select([right, top, left], [s_right, s_top, s_left], default=s_bottom)
+        return np.where(right, s_right, np.where(top, s_top, np.where(left, s_left, s_bottom)))
 
     @staticmethod
     def _on_square(rho: Array, s: Array) -> tuple[Array, Array]:
@@ -133,8 +133,10 @@ class SquareTwist:
         c2 = s < 3.0 * rho
         c3 = s < 5.0 * rho
         c4 = s < 7.0 * rho
-        u = np.select([c1, c2, c3, c4], [rho, 2.0 * rho - s, -rho, s - 6.0 * rho], default=rho)
-        v = np.select([c1, c2, c3, c4], [s, rho, 4.0 * rho - s, -rho], default=s - 8.0 * rho)
+        u = np.where(c1, rho, np.where(c2, 2.0 * rho - s, np.where(
+            c3, -rho, np.where(c4, s - 6.0 * rho, rho))))
+        v = np.where(c1, s, np.where(c2, rho, np.where(
+            c3, 4.0 * rho - s, np.where(c4, -rho, s - 8.0 * rho))))
         return u, v
 
     def _fade(self, rho: Array) -> Array:
@@ -282,9 +284,9 @@ class _TiledTwist(MapNode):
     """A twist kind: each 1/q cell is split into blocks, each carrying the
     square twist rescaled onto the block, so the map commutes with R_{1/q}.
 
-    A kind states its split once, in ``_blocks``; ``apply`` and the
-    smoothness margin both read it.  Defines no ``kind``, so it does not
-    register.
+    A kind states its split once, in ``_blocks``, as one piece over the
+    whole point array, so ``apply`` and the smoothness margin each make one
+    square-twist call.  Defines no ``kind``, so it does not register.
     """
 
     q: int
@@ -298,11 +300,12 @@ class _TiledTwist(MapNode):
     def period(self) -> int:
         return self.q
 
-    def _blocks(self, lx: Array) -> list:
-        """Pieces (sel, X, back, stretch) of the cell coordinate lx in [0, 1):
-        ``lx[sel]`` are the points of one block, X their twist coordinate in
-        [0, 1], ``back`` maps the twist's x back to lx, and ``stretch`` is
-        dX/dx on the torus.  Points in no piece are fixed."""
+    def _blocks(self, lx: Array) -> tuple:
+        """The piece (sel, X, back, stretch) of the cell coordinate lx in
+        [0, 1): ``lx[sel]`` are the twisted points, X their coordinate in
+        their block's twist, in [0, 1], ``back`` maps the twist's x back to
+        lx, and ``stretch`` is dX/dx on the torus (a scalar, or one value per
+        selected point).  Points outside ``sel`` are fixed."""
         raise NotImplementedError
 
     def _seams(self, lx: Array):
@@ -318,24 +321,19 @@ class _TiledTwist(MapNode):
 
     def apply(self, pts: Array, inverse: bool = False) -> Array:
         cell, lx, y = self._cell(pts)
+        sel, X, back, _ = self._blocks(lx)
+        res = self.twist.eval(np.stack([X, y[sel]], axis=-1), inverse=inverse)
         bx, by = lx.copy(), y.copy()
-        tw = self.twist
-        for sel, X, back, _ in self._blocks(lx):
-            res = tw.eval(np.stack([X, y[sel]], axis=-1), inverse=inverse)
-            bx[sel] = back(res[..., 0])
-            by[sel] = res[..., 1]
-        out = np.empty(lx.shape + (2,), dtype=float)
-        out[..., 0] = mod1((cell + bx) / self.q)
-        out[..., 1] = mod1(by)
-        return out
+        bx[sel] = back(res[..., 0])
+        by[sel] = res[..., 1]
+        return np.stack([mod1((cell + bx) / self.q), mod1(by)], axis=-1)
 
     def smoothness_margin(self, pts: Array) -> Array:
         # a local margin shrinks by the block's stretch
         _, lx, y = self._cell(pts)
+        sel, X, _, stretch = self._blocks(lx)
         out = np.full(lx.shape, np.inf)
-        tw = self.twist
-        for sel, X, _, stretch in self._blocks(lx):
-            out[sel] = tw.smoothness_margin(np.stack([X, y[sel]], axis=-1)) / stretch
+        out[sel] = self.twist.smoothness_margin(np.stack([X, y[sel]], axis=-1)) / stretch
         return np.minimum(out, self._seams(lx))
 
 
@@ -350,8 +348,8 @@ class QuasiRotTiled(_TiledTwist):
             raise ConstructionError("q must be >= 1")
         SquareTwist(self.eps)  # validates eps
 
-    def _blocks(self, lx: Array) -> list:
-        return [(..., lx, lambda r: r, self.q)]
+    def _blocks(self, lx: Array) -> tuple:
+        return ..., lx, lambda r: r, self.q
 
 
 def phi_q_eval(q: int, eps: float, p, inverse: bool = False) -> Array:
@@ -378,16 +376,17 @@ class UntwistedH(_TiledTwist):
             raise ConstructionError("untwisted stage needs q >= 4 (two-block split)")
         SquareTwist(self.eps)
 
-    def _blocks(self, lx: Array) -> list:
+    def _blocks(self, lx: Array) -> tuple:
         q = self.q
         w = 1.0 - 1.0 / q  # wide-block fraction of the cell
         scale = q / (q - 1.0)
         big = lx < w
-        small = ~big
-        return [
-            (big, lx[big] * scale, lambda r: r / scale, q * scale),
-            (small, (lx[small] - w) * q, lambda r: w + r / q, q * q),
-        ]
+        return (
+            ...,
+            np.where(big, lx * scale, (lx - w) * q),
+            lambda r: np.where(big, r / scale, w + r / q),
+            np.where(big, q * scale, q * q),
+        )
 
     def _seams(self, lx: Array):
         return np.abs(lx - (1.0 - 1.0 / self.q)) / self.q
@@ -634,24 +633,23 @@ class WordDrivenPhi(_TiledTwist):
         block = np.minimum(np.floor(scaled), nblocks - 1).astype(np.int64)
         return nblocks, block, scaled - block
 
-    def _blocks(self, lx: Array) -> list:
+    @functools.cached_property
+    def _block_tiles(self) -> Array:  # tiles_for of each block's symbol
+        return np.array([self.tiles_for(s) for s in self.word], dtype=np.int64)
+
+    def _blocks(self, lx: Array) -> tuple:
         # a block of symbol j holds tiles_for(j) twists side by side
         nblocks, block, inner = self._split(lx)
-        sym = np.asarray(self.word, dtype=np.int64)[block]
-        pieces = []
-        for j in np.unique(sym):
-            tiles = self.tiles_for(int(j))
-            if tiles == 0:
-                continue
-            sel = sym == j
-            z = inner[sel] * tiles
-            tile = np.minimum(np.floor(z), tiles - 1)
+        tiles = self._block_tiles[block]
+        sel = tiles > 0
+        block, tiles = block[sel], tiles[sel]
+        z = inner[sel] * tiles
+        tile = np.minimum(np.floor(z), tiles - 1)
 
-            def back(r, b=block[sel], tile=tile, tiles=tiles):
-                return (b + (tile + r) / tiles) / nblocks
+        def back(r):
+            return (block + (tile + r) / tiles) / nblocks
 
-            pieces.append((sel, z - tile, back, self.q * nblocks * tiles))
-        return pieces
+        return sel, z - tile, back, self.q * nblocks * tiles
 
     def _seams(self, lx: Array):
         nblocks, _, inner = self._split(lx)
@@ -875,8 +873,9 @@ def orbit_images(
         pts[..., 0] = mod1(base[:, 0] + np.array([t * p % Q / Q for t in ts])[:, None])
         img = H.forward(pts.reshape(-1, 2)).reshape(len(ts), n, 2)
         for j, s in enumerate(range(t0, n_time, w)):
-            moved = img[: n_time - s].copy()
-            moved[..., 0] = mod1(moved[..., 0] + j * p % g / g)
+            moved = img[: n_time - s]
+            if j * p % g:  # the stack's x is already in [0, 1): no copy unrotated
+                moved = np.stack([mod1(moved[..., 0] + j * p % g / g), moved[..., 1]], axis=-1)
             m = len(moved)
             out[s : s + m] = moved if label is None else label(moved.reshape(-1, 2)).reshape(m, n)
     return out

@@ -92,8 +92,8 @@ class WordSelection:
     def __post_init__(self):
         if self.alphabet_size < 2:
             raise ValueError("alphabet must have at least 2 symbols")
-        if self.k % self.alphabet_size != 0:
-            raise ValueError("word length must be a multiple of the alphabet size")
+        if self.k < 1 or self.k % self.alphabet_size != 0:
+            raise ValueError(f"word length {self.k} is not a positive multiple of the alphabet")
 
     @property
     def n_words(self) -> int:
@@ -116,11 +116,12 @@ class WordSelection:
             [word_from_text(ln.strip()) for ln in lines[1 : n + 1]],
             dtype=np.uint16,
         )
-        if words.shape != (n, k):
-            raise ValueError("selection body does not match its header")
-        return WordSelection(
+        sel = WordSelection(  # header first: no body shows a word of length 0
             alphabet_size=s, k=k, eps=float(eps_), words=words, seed=seed, verified=False
         )
+        if words.shape != (n, k):
+            raise ValueError("selection body does not match its header")
+        return sel
 
 
 @dataclass(frozen=True)
@@ -419,9 +420,9 @@ def _failing_after(sel: WordSelection, redrawn: Sequence[int]) -> set[int]:
     ``sel`` has a word in ``redrawn``: only those comparisons are scanned,
     in both orders and with the redrawn words' self shifts."""
     scan = _ShiftScan(sel)
-    rows = np.unique(np.asarray(redrawn, dtype=np.int64))
-    order = np.concatenate([rows, np.setdiff1d(np.arange(scan.n), rows)])
-    scan.counts(order, rows.size, scan.note)
+    mask = np.bincount(np.asarray(redrawn, dtype=np.int64), minlength=scan.n) > 0
+    rows = np.flatnonzero(mask)
+    scan.counts(np.concatenate([rows, np.flatnonzero(~mask)]), rows.size, scan.note)
     return scan.failing()
 
 

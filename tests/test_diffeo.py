@@ -550,6 +550,22 @@ def test_orbit_batch_first_times_of_classes_are_direct(untwisted_sys2):
                           direct_orbit(untwisted_sys2, seeds, range(512)))
 
 
+def test_orbit_images_below_the_period_are_direct(wm_systems):
+    # the word-driven stack under alpha = 37/512: w = 64, and every time
+    # below w is written unrotated, as its float image and as its labels
+    sys = df.AbCSystem(H=wm_systems[8].H, alpha_next=Fraction(37, 512), stage=wm_systems[8].stage)
+    seeds = np.random.Generator(np.random.Philox(7)).random((50, 2))
+    base = sys.H.inverse(seeds)
+    want = direct_orbit(sys, seeds, range(64))
+    assert np.array_equal(df.orbit_images(sys.H, base, sys.alpha_next, 64), want)
+
+    def label(z):
+        return np.floor(z[:, 0] * 8) + 8 * np.floor(z[:, 1] * 8)
+
+    labels = df.orbit_images(sys.H, base, sys.alpha_next, 64, label=label, dtype=np.int64)
+    assert np.array_equal(labels, label(want.reshape(-1, 2)).reshape(64, 50))
+
+
 # -- inverse roundtrips across node kinds ------------------------------------
 
 

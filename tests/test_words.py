@@ -1,8 +1,12 @@
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -420,6 +424,45 @@ def test_many_round_selection_is_pinned():
     text = sample_selection(4, 500, 40, 1 / 16, 19).to_text()
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "53fdd616fe62d5f54b61565c3988f707e1865f64424d4630d6be52e3c9a350b3"
+
+
+# numpy 2.x imports numpy.ma lazily, on the first np.unique or np.setdiff1d
+# call: about 10 ms, inside whatever run makes that call
+NO_MASKED_ARRAYS = """
+import sys
+import numpy as np
+if "numpy.ma" in sys.modules:
+    print("preloaded")
+    raise SystemExit
+from slowtorus.diffeo import WordDrivenPhi
+from slowtorus.words import sample_selection
+phi = WordDrivenPhi(q=4, eps=0.125, word=tuple(i % 5 for i in range(32)), cap_tiles=4)
+pts = np.random.Generator(np.random.Philox(0)).random((1000, 2))
+phi.inverse(phi.forward(pts))
+assert sample_selection(4, 500, 40, 1 / 16, 19).verified  # after seven retry scans
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
+"""
+
+
+def test_twists_and_retry_rounds_leave_masked_arrays_unloaded():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.strip() == "preloaded":
+        pytest.skip("import numpy alone loads numpy.ma")
+    assert proc.stdout.strip() == "[]"
+
+
+def test_selection_rejects_empty_words():
+    message = "word length 0 is not a positive multiple of the alphabet"
+    with pytest.raises(ValueError, match=message):
+        WordSelection(alphabet_size=2, k=0, eps=0.25, words=np.zeros((2, 0)), seed=0,
+                      verified=False)
+    with pytest.raises(ValueError, match=message):
+        WordSelection.from_text("2 0 2 0.25 1\n")
 
 
 @pytest.mark.parametrize("max_rounds", [0, -1])
