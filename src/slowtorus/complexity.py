@@ -394,11 +394,6 @@ def witness_untwisted(
 # coded orbits and Hamming covers
 
 
-def code_orbit(sys: AbCSystem, part: Partition, x, n_time: int) -> Array:
-    """Cell labels along the orbit of x."""
-    return code_orbits(sys, part, x, n_time)[0]
-
-
 def code_orbits(sys: AbCSystem, part: Partition, pts: Array, n_time: int) -> Array:
     """(n_samples, n_time) label words for many starting points, in the
     smallest unsigned dtype for the labels; the float orbit is never held."""

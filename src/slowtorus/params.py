@@ -321,10 +321,6 @@ class ValidationReport:
     def passed(self) -> bool:
         return all(r.ok for r in self.results if r.applicable and r.name in self.enforced)
 
-    @property
-    def all_ok(self) -> bool:
-        return all(r.ok for r in self.results if r.applicable)
-
     def failures(self) -> list[CheckResult]:
         return [r for r in self.results if r.applicable and not r.ok]
 

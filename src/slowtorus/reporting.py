@@ -65,12 +65,3 @@ def _cell(v: Any) -> str:
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
     return str(v)
-
-
-def read_header_hash(path: Path) -> str:
-    for line in path.read_text().splitlines():
-        if line.startswith("# config_sha256="):
-            return line.split("=", 1)[1]
-        if not line.startswith("#"):
-            break
-    raise ValueError(f"{path} carries no config hash")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 Number = Union[int, float]
 
@@ -169,10 +169,3 @@ def ordering_table(
         OrderingRow(m, eval_log(fam_slow, m, t) - eval_log(fam_fast, m, s))
         for m in m_grid
     ]
-
-
-def ordering_table_csv(rows: Iterable[OrderingRow]) -> str:
-    lines = ["m,log_ratio,ratio_finite"]
-    for row in rows:
-        lines.append(f"{row.m},{row.log_ratio!r},{row.ratio_finite}")
-    return "\n".join(lines) + "\n"

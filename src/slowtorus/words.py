@@ -73,8 +73,6 @@ def hamming_shift(w: Sequence[int], w2: Sequence[int], t: int) -> float:
     k = a.shape[0]
     if not (0 <= t < k):
         raise ValueError(f"shift must satisfy 0 <= t < {k}")
-    if t == 0:
-        return float(np.mean(a != b))
     return float(np.mean(a[: k - t] != b[t:]))
 
 
@@ -94,6 +92,8 @@ class WordSelection:
             raise ValueError("alphabet must have at least 2 symbols")
         if self.k < 1 or self.k % self.alphabet_size != 0:
             raise ValueError(f"word length {self.k} is not a positive multiple of the alphabet")
+        if not 0.0 < self.eps < 1.0:  # eps >= 1 leaves no shift to verify
+            raise ValueError(f"eps must lie in (0, 1), got {self.eps}")
 
     @property
     def n_words(self) -> int:
@@ -113,7 +113,7 @@ class WordSelection:
         s_, k_, n_, eps_, seed_ = lines[0].split()
         s, k, n, seed = int(s_), int(k_), int(n_), int(seed_)
         words = np.array(
-            [word_from_text(ln.strip()) for ln in lines[1 : n + 1]],
+            [word_from_text(ln.strip()) for ln in lines[1:]],
             dtype=np.uint16,
         )
         sel = WordSelection(  # header first: no body shows a word of length 0
@@ -128,7 +128,9 @@ class WordSelection:
 class SelectionReport:
     threshold: float
     uniform: bool
-    min_pairwise_per_shift: Array  # (n_shifts,) inf where no pair exists
+    # the smallest distance of a pair i != j at each shift t <= (1-eps)*k;
+    # inf where no pair is compared (one word, or t = (1-eps)*k exactly)
+    min_pairwise_per_shift: Array
     min_self_sliding: float
     worst_pair: tuple[int, int, int, float]  # (i, j, t, distance)
     # the later word of every violating (i, j, t), added in scan order (t
@@ -161,10 +163,10 @@ _NO_VIOL = np.iinfo(np.int64).max
 
 
 @functools.lru_cache(maxsize=16)
-def _shift_limits(s: int, k: int, eps: float) -> tuple[int, int, Array]:
-    """(t_pair_end, t_self_last, limit) of a selection's shift scan: the
-    exclusive end of the pair shifts, the last self shift, and, read-only,
-    the largest match count that passes at each shift t < min(k, n_shifts).
+def _shift_limits(s: int, k: int, eps: float) -> tuple[int, Array]:
+    """(t_pair_end, limit) of a selection's shift scan: the exclusive end of
+    the pair shifts and, read-only, the largest match count that passes at
+    each shift t <= (1-eps)*k, which are the scan's shifts.
 
     A (pair, shift) with m matches over an overlap of o positions violates
     when its distance 1 - m/o is below 1 - p/d, where p/d = 1/s + eps*s
@@ -173,14 +175,12 @@ def _shift_limits(s: int, k: int, eps: float) -> tuple[int, int, Array]:
     """
     bound = Fraction(1, s) + Fraction(eps) * s  # exact: thr = 1 - bound
     rest = (1 - Fraction(eps)) * k
-    t_pair_end = math.ceil(rest)  # exclusive
-    t_self_last = math.floor(rest)  # inclusive
-    T = min(max(1, t_pair_end, t_self_last + 1), k)
+    T = math.floor(rest) + 1  # in 1..k, as 0 < eps < 1
     # counts lie in 0..k, so clipping keeps every `m > limit` exact in int64
     p, d = bound.numerator, bound.denominator
     limit = np.array([min(max((o * p) // d, -1), k) for o in range(k, k - T, -1)], dtype=np.int64)
     limit.setflags(write=False)
-    return t_pair_end, t_self_last, limit
+    return math.ceil(rest), limit
 
 
 class _ShiftScan:
@@ -199,13 +199,12 @@ class _ShiftScan:
             bad = int(words.min()) if words.min() < 0 else int(words.max())
             raise ValueError(f"symbol {bad} lies outside the alphabet 0..{s - 1}")
         self.words, self.s, self.n = words, s, words.shape[0]
-        t_pair_end, t_self_last, self.limit = _shift_limits(s, k, sel.eps)
-        self.n_shifts = max(1, max(t_pair_end, t_self_last + 1))
+        t_pair_end, self.limit = _shift_limits(s, k, sel.eps)
         self.T = self.limit.size
         shifts = np.arange(self.T)
         self.overlap = k - shifts
         self.pair_t = (shifts < t_pair_end) & (self.n > 1)
-        self.self_t = (shifts >= 1) & (shifts <= t_self_last)
+        self.self_t = shifts >= 1
         # per word: the first (t, i, j), as t*n*n + i*n + j, where it is the
         # later word of a violating comparison
         self.first_viol = np.full(self.n, _NO_VIOL, dtype=np.int64)
@@ -343,10 +342,13 @@ def verify_selection(sel: WordSelection) -> SelectionReport:
     transforms each word once per panel of rows.  Each (pair, shift) is
     decided against the exact rational threshold in integers: the report's
     distances are 1 - m/o in float64, and its verdict and failing words come
-    from the integer test alone.  Each reduction keeps the order of a scan
-    over the shifts, row-major over (i, j) within a shift: the first maximum
-    per shift, the first minimum over the shifts (pair before self), and
-    ``failing`` filled in the order its words first violate.
+    from the integer test alone.  The scan keeps, per shift, the most matches
+    of a pair i != j and of a word against itself; the per-shift distances
+    come from these maxima.  The worst shift is the first minimum over the
+    shifts (pair before self), and ``worst_pair`` is the first comparison,
+    row-major over (i, j), that reaches its maximum there, found by an exact
+    recount of that one shift.  ``failing`` is filled in the order its words
+    first violate.
     """
     s, k = sel.alphabet_size, sel.k
     scan = _ShiftScan(sel)
@@ -360,51 +362,39 @@ def verify_selection(sel: WordSelection) -> SelectionReport:
         if not np.all(counts == target):
             uniform = False
             break
-    # Per shift, the most matches of a pair i != j, folded with the scan's
-    # tie-break into one key m*n*n + (n*n - 1 - (i*n + j)): the largest key
-    # is the row-major first maximum.  Likewise m*n + (n - 1 - i) for a word
-    # against itself.  A block's pair keys can raise a shift's key only where
-    # its most matches reach that key's count, so only there are they built.
-    nn = n * n
-    pair_key = np.full(T, -1, dtype=np.int64)
-    pair_best = np.full(T, -1, dtype=np.int64)  # pair_key // nn
-    self_key = np.full(T, -1, dtype=np.int64)
+    # per shift, the most matches of a pair i != j and of a word against itself
+    pair_best = np.full(T, -1, dtype=np.int64)
+    self_best = np.full(T, -1, dtype=np.int64)
 
     def fold(i: Array, j: Array, m: Array) -> None:
         top = m.max(axis=(0, 1))
-        pairs, pair_top = m, top
         same = i == j
         if same.any():
-            own = m[same] * n + (n - 1 - i[same])[:, None]
-            np.maximum(self_key, own.max(axis=0), out=self_key)
-            pairs = np.where(same[..., None], -1, m)
-            pair_top = pairs.max(axis=(0, 1))
-        hit = np.flatnonzero(pair_top >= pair_best)
-        if hit.size:
-            key = pairs[..., hit] * nn + (nn - 1 - (i * n + j))[..., None]
-            pair_key[hit] = np.maximum(pair_key[hit], key.reshape(-1, hit.size).max(axis=0))
-            pair_best[hit] = pair_top[hit]
+            np.maximum(self_best, m[same].max(axis=0), out=self_best)
+            np.maximum(pair_best, np.where(same[..., None], -1, m).max(axis=(0, 1)), out=pair_best)
+        else:
+            np.maximum(pair_best, top, out=pair_best)
         scan.note(i, j, m, top)
 
     scan.counts(np.arange(n), n, fold)
 
-    pair_m, pair_at = np.divmod(pair_key, nn)
-    self_m, self_at = np.divmod(self_key, n)
-    min_pair = np.full(scan.n_shifts, np.inf)
-    min_pair[:T][pair_t] = 1.0 - pair_m[pair_t] / overlap[pair_t]
-    min_self_t = np.where(self_t, 1.0 - self_m / overlap, np.inf)
+    min_pair = np.where(pair_t, 1.0 - pair_best / overlap, np.inf)
+    min_self_t = np.where(self_t, 1.0 - self_best / overlap, np.inf)
     min_self = float(min_self_t.min())
     # the scan order: shift by shift, the pair candidate before the self one
-    cand = np.stack([min_pair[:T], min_self_t], axis=1).reshape(-1)
+    cand = np.stack([min_pair, min_self_t], axis=1).reshape(-1)
     worst = (0, 0, 0, math.inf)
     if np.isfinite(cand.min()):
         t, is_self = divmod(int(cand.argmin()), 2)
-        if is_self:
-            i = n - 1 - int(self_at[t])
-            worst = (i, i, t, float(min_self_t[t]))
-        else:
-            i, j = divmod(nn - 1 - int(pair_at[t]), n)
-            worst = (i, j, t, float(min_pair[t]))
+        best = (self_best if is_self else pair_best)[t]
+        # recount the worst shift row by row: its first comparison at `best`
+        w, cols = scan.words, np.arange(n)
+        for i in range(n):
+            m = np.count_nonzero(w[i, : k - t] == w[:, t:], axis=1)
+            hit = np.flatnonzero((m == best) & ((cols == i) == is_self))
+            if hit.size:
+                worst = (i, int(hit[0]), t, float(cand[2 * t + is_self]))
+                break
     return SelectionReport(
         threshold=thr,
         uniform=uniform,

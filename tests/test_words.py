@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -255,6 +256,20 @@ def budgets(mp, s, k, block, panel):
     block=2,
     panel=2,
 )
+# the worst comparison is a word against itself: both words match twice at
+# the self shift t=8 (overlap 2), and word 0 comes first
+@example(
+    case=(2, 0.05, [[1, 0, 1, 1, 0, 0, 0, 1, 1, 0], [0, 0, 1, 1, 1, 1, 1, 0, 0, 0]]),
+    block=1,
+    panel=1,
+)
+# at the worst shift t=7 no pair of row 0 matches 3 times, but word 0 does
+# against itself: the first maximal pair is (1, 0)
+@example(
+    case=(2, 0.1, [[1, 0, 1, 1, 0, 0, 0, 1, 0, 1], [1, 0, 1, 1, 0, 0, 1, 0, 1, 0]]),
+    block=1,
+    panel=1,
+)
 def test_verify_matches_exact_reference(case, block, panel):
     s, eps, rows = case
     words = np.array(rows, dtype=np.uint8)
@@ -463,6 +478,22 @@ def test_selection_rejects_empty_words():
                       verified=False)
     with pytest.raises(ValueError, match=message):
         WordSelection.from_text("2 0 2 0.25 1\n")
+
+
+@pytest.mark.parametrize("eps", [0.0, 1.0, -0.25, 1.5])
+def test_selection_rejects_eps_outside_unit_interval(eps):
+    # eps >= 1 leaves no shift to verify; eps = 0 would scan every shift
+    message = re.escape(f"eps must lie in (0, 1), got {eps}")
+    with pytest.raises(ValueError, match=message):
+        WordSelection(alphabet_size=2, k=4, eps=eps, words=np.array([[0, 0, 1, 1], [0, 1, 0, 1]]),
+                      seed=0, verified=False)
+    with pytest.raises(ValueError, match=message):
+        WordSelection.from_text(f"2 4 2 {eps!r} 1\n0011\n0101\n")
+
+
+def test_text_rejects_more_words_than_its_header():
+    with pytest.raises(ValueError, match="selection body does not match its header"):
+        WordSelection.from_text("2 4 2 0.25 1\n0011\n0101\n1100\n")
 
 
 @pytest.mark.parametrize("max_rounds", [0, -1])
