@@ -60,27 +60,17 @@ class ExperimentConfig:
     cap_tiles: int = 64
 
     def profile(self) -> ParamProfile:
-        if self.regime == "custom":
-            steps = tuple(CustomStep(k=k, l=l, l_prime=lp) for (k, l, lp) in self.kl_schedule)
-            return ParamProfile(
-                regime="custom", q1=self.q1, relax_eps=self.relax_eps, custom=steps
-            )
         return ParamProfile(
             regime=self.regime,
             q1=self.q1,
             r=self.r,
             K=self.K,
             relax_eps=self.relax_eps,
+            custom=tuple(CustomStep(*step) for step in self.kl_schedule),
         )
 
     def scale_families(self) -> list[scaling.ScalingFamily]:
-        out = []
-        for kind, r, q1 in self.families:
-            if kind in ("int1", "int2"):
-                out.append(scaling.ScalingFamily(kind=kind, r=r, q1=q1))
-            else:
-                out.append(scaling.ScalingFamily(kind=kind))
-        return out
+        return [scaling.ScalingFamily(*fam) for fam in self.families]
 
 
 def load_config(path: Optional[str], overrides: dict) -> ExperimentConfig:
@@ -296,20 +286,13 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> int:
 
     if len(records) >= 2:
         report = cx.slow_entropy_report(records, fams)
-        reporting.write_with_header(
-            outdir / "counts.csv", cfg, "\n".join(report.csv_lines())
-        )
+        reporting.write_csv(outdir / "counts.csv", cfg, cx.RatioRow._fields, report.rows)
         trend_lines = [
-            f"{fam},t={t},{kind}: {direction}"
-            for (fam, t, kind), direction in sorted(report.trend.items())
+            f"{fam},t={t},{kind},eps={eps}: {direction}"
+            for (fam, t, kind, eps), direction in sorted(report.trend.items())
         ]
         reporting.write_with_header(outdir / "trends.txt", cfg, "\n".join(trend_lines))
-    reporting.write_csv(
-        outdir / "raw_counts.csv",
-        cfg,
-        ("stage", "q", "horizon", "eps", "count_kind", "count"),
-        [(r.stage, r.q, r.horizon, r.eps, r.count_kind, r.count) for r in records],
-    )
+    reporting.write_csv(outdir / "raw_counts.csv", cfg, cx.CountRecord._fields, records)
     reporting.write_with_header(
         outdir / "summary.txt", cfg, "\n".join(summary) if summary else "no stage summaries"
     )
@@ -332,7 +315,7 @@ def cmd_plotdata(report_files: Sequence[str], outdir: str) -> int:
         if not lines:
             continue
         header = lines[0].split(",")
-        required = {"stage", "horizon", "family", "t", "log_ratio", "count_kind"}
+        required = {"stage", "horizon", "eps", "family", "t", "log_ratio", "count_kind"}
         if not required.issubset(header):
             missing = sorted(required - set(header))
             print(f"validation failure: {path}: missing columns {missing}", file=sys.stderr)
@@ -348,18 +331,20 @@ def cmd_plotdata(report_files: Sequence[str], outdir: str) -> int:
                     file=sys.stderr,
                 )
                 return EXIT_VALIDATION
-            key = (cells[idx["family"]], cells[idx["t"]], cells[idx["count_kind"]])
+            key = tuple(cells[idx[c]] for c in ("family", "t", "count_kind", "eps"))
             curves.setdefault(key, []).append(
                 (cells[idx["horizon"]], cells[idx["log_ratio"]])
             )
-        for (fam, t, kind), rows in sorted(curves.items()):
+        for (fam, t, kind, eps), rows in sorted(curves.items()):
             safe_fam = fam.replace(",", "_").replace("=", "")
-            name = f"curve_{path.stem}_{safe_fam}_t{t}_{kind}.dat"
+            name = f"curve_{path.stem}_{safe_fam}_t{t}_eps{eps}_{kind}.dat"
             if name in files:
                 print(f"validation failure: {path}: {name} is written twice", file=sys.stderr)
                 return EXIT_VALIDATION
             files[name] = "\n".join(f"{m} {v}" for m, v in rows) + "\n"
-            manifest.append({"file": name, "source": str(path), "family": fam, "t": t, "kind": kind})
+            manifest.append(
+                {"file": name, "source": str(path), "family": fam, "t": t, "kind": kind, "eps": eps}
+            )
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     for name, body in files.items():

@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -519,8 +519,9 @@ def sandwich_check(
 # reports
 
 
-@dataclass(frozen=True)
-class CountRecord:
+class CountRecord(NamedTuple):
+    """One row of raw_counts.csv, whose columns are these fields."""
+
     stage: int
     q: int
     horizon: int
@@ -529,8 +530,9 @@ class CountRecord:
     count: int
 
 
-@dataclass(frozen=True)
-class RatioRow:
+class RatioRow(NamedTuple):
+    """One row of counts.csv, whose columns are these fields."""
+
     stage: int
     horizon: int
     eps: float
@@ -543,18 +545,8 @@ class RatioRow:
 
 @dataclass(frozen=True)
 class ComplexityReport:
-    records: tuple[CountRecord, ...]
     rows: tuple[RatioRow, ...]
-    trend: dict  # (family_label, t) -> "increasing" | "decreasing" | "flat"
-
-    def csv_lines(self) -> list[str]:
-        out = ["stage,horizon,eps,count_kind,count,family,t,log_ratio"]
-        for r in self.rows:
-            out.append(
-                f"{r.stage},{r.horizon},{r.eps!r},{r.count_kind},{r.count},"
-                f"{r.family},{r.t!r},{r.log_ratio!r}"
-            )
-        return out
+    trend: dict  # (family_label, t, count_kind, eps) -> "increasing" | "decreasing" | "flat"
 
 
 def slow_entropy_report(
@@ -564,7 +556,8 @@ def slow_entropy_report(
     """Normalize counts by a_m(t) in log-space and flag tail directions.
 
     An increasing tail of count/a_m(t) over the stages is evidence the slow
-    entropy is >= t at that scale; a decreasing tail, <= t.
+    entropy is >= t at that scale; a decreasing tail, <= t.  Each tail
+    follows one count kind at one radius eps, in (stage, horizon) order.
     """
     if len(records) < 2:
         raise ValueError("need at least two stage records")
@@ -572,33 +565,27 @@ def slow_entropy_report(
     trend: dict = {}
     ordered = sorted(records, key=lambda r: (r.count_kind, r.stage, r.horizon))
     for fam, ts in families:
+        label = fam.label()
         for t in ts:
-            per_kind: dict = {}
+            tails: dict = {}  # (count_kind, eps) -> log ratios
             for rec in ordered:
                 if rec.horizon < 2:
                     continue  # scale families need m > 1; static counts skipped
                 lr = math.log(max(rec.count, 1)) - eval_log(fam, rec.horizon, t)
                 rows.append(
                     RatioRow(
-                        stage=rec.stage,
-                        horizon=rec.horizon,
-                        eps=rec.eps,
-                        count_kind=rec.count_kind,
-                        count=rec.count,
-                        family=fam.label(),
-                        t=t,
-                        log_ratio=lr,
+                        rec.stage, rec.horizon, rec.eps, rec.count_kind, rec.count, label, t, lr
                     )
                 )
-                per_kind.setdefault(rec.count_kind, []).append(lr)
-            for kind, seq in per_kind.items():
+                tails.setdefault((rec.count_kind, rec.eps), []).append(lr)
+            for (kind, eps), seq in tails.items():
                 if len(seq) >= 2:
                     d = seq[-1] - seq[-2]
                     direction = "increasing" if d > 0 else ("decreasing" if d < 0 else "flat")
-                    trend[(fam.label(), t, kind)] = direction
+                    trend[(label, t, kind, eps)] = direction
     # packing/covering consistency across shared (stage, horizon) pairs
     _assert_packing_chain(records)
-    return ComplexityReport(records=tuple(records), rows=tuple(rows), trend=trend)
+    return ComplexityReport(rows=tuple(rows), trend=trend)
 
 
 def _assert_packing_chain(records: Sequence[CountRecord]) -> None:

@@ -10,31 +10,16 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 SCHEMA_VERSION = 1
 
 
-def _jsonable(obj: Any) -> Any:
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
-def config_json(config: Any) -> str:
-    return json.dumps(_jsonable(config), sort_keys=True, separators=(",", ":"))
-
-
 def config_hash(config: Any) -> str:
-    return hashlib.sha256(config_json(config).encode()).hexdigest()
+    """SHA-256 of the config dataclass as compact JSON with sorted keys."""
+    text = json.dumps(dataclasses.asdict(config), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def header_lines(config: Any) -> list[str]:
@@ -53,15 +38,8 @@ def write_with_header(path: Path, config: Any, body: str) -> None:
 
 
 def write_csv(path: Path, config: Any, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """One line per row, each cell written as str(v): the shortest text that
+    reads back as the same float."""
     lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
+    lines.extend(",".join(map(str, row)) for row in rows)
     write_with_header(path, config, "\n".join(lines))
-
-
-def _cell(v: Any) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    return str(v)

@@ -112,14 +112,13 @@ class WordSelection:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         s_, k_, n_, eps_, seed_ = lines[0].split()
         s, k, n, seed = int(s_), int(k_), int(n_), int(seed_)
-        words = np.array(
-            [word_from_text(ln.strip()) for ln in lines[1:]],
-            dtype=np.uint16,
-        )
+        rows = [word_from_text(ln.strip()) for ln in lines[1:]]
+        even = all(len(w) == k for w in rows)  # a ragged body builds no array
+        words = np.array(rows if even else [], dtype=np.uint16)
         sel = WordSelection(  # header first: no body shows a word of length 0
             alphabet_size=s, k=k, eps=float(eps_), words=words, seed=seed, verified=False
         )
-        if words.shape != (n, k):
+        if not even or words.shape != (n, k):
             raise ValueError("selection body does not match its header")
         return sel
 

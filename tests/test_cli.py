@@ -4,9 +4,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from slowtorus import cli
+from slowtorus import cli, reporting
 
 
 BASE_CONFIG = {
@@ -229,14 +230,48 @@ def test_plotdata_colliding_names_rejected(tmp_path, capsys):
         paths.append(str(tmp_path / sub / "counts.csv"))
     plots = tmp_path / "plots"
     assert cli.main(["plotdata", *paths, "--outdir", str(plots)]) == cli.EXIT_VALIDATION
-    assert "curve_counts_pol_t0.5_separated.dat" in capsys.readouterr().err
+    assert "curve_counts_pol_t0.5_eps0.125_separated.dat" in capsys.readouterr().err
     assert not plots.exists()
     # one of them alone keeps its name
     assert cli.main(["plotdata", paths[0], "--outdir", str(plots)]) == cli.EXIT_OK
     assert sorted(p.name for p in plots.iterdir()) == [
-        "curve_counts_pol_t0.5_separated.dat",
+        "curve_counts_pol_t0.5_eps0.125_separated.dat",
         "manifest.json",
     ]
+
+
+def test_two_radius_run_keeps_radii_apart(tmp_path):
+    # each trend and each plot curve follows one radius, one row per horizon
+    cfg_path, outdir = write_config(
+        tmp_path, eps_list=[0.125, 0.25], horizon_cap=16, families=[["pol", 0, 0]], t_grid=[0.5]
+    )
+    assert cli.main(["run", "--config", str(cfg_path)]) == 0
+    trends = (outdir / "trends.txt").read_text().splitlines()[2:]
+    assert [ln.split(":")[0] for ln in trends] == [
+        f"pol,t=0.5,{kind},eps={eps}" for kind in ("cover", "separated") for eps in (0.125, 0.25)
+    ]
+    plots = tmp_path / "plots"
+    assert cli.main(["plotdata", str(outdir / "counts.csv"), "--outdir", str(plots)]) == 0
+    manifest = json.loads((plots / "manifest.json").read_text())
+    curves = {}
+    for e in manifest:
+        rows = (plots / e["file"]).read_text().splitlines()
+        curves[e["kind"], e["eps"]] = [ln.split()[0] for ln in rows]
+    assert len(curves) == len(manifest) == 5
+    assert curves == {
+        ("cover", "0.125"): ["8", "16"],
+        ("cover", "0.25"): ["8", "16"],
+        ("separated", "0.125"): ["8", "16"],
+        ("separated", "0.25"): ["8", "16"],
+        ("hamming", "0.25"): ["16"],
+    }
+    assert "curve_counts_pol_t0.5_eps0.25_cover.dat" in {e["file"] for e in manifest}
+
+
+def test_write_csv_writes_numpy_float_as_decimal(tmp_path):
+    path = tmp_path / "x.csv"
+    reporting.write_csv(path, cli.ExperimentConfig(), ("x",), [(np.float64(0.25),)])
+    assert path.read_text().splitlines()[2:] == ["x", "0.25"]
 
 
 def test_words_subcommand(tmp_path):

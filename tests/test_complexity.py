@@ -640,9 +640,9 @@ def test_slow_entropy_report_threshold_flags():
     ]
     rep = cx.slow_entropy_report(records, [(fam, [0.5, 1.0, 2.0])])
     # counts equal m**1: increasing ratio below t=1, decreasing above
-    assert rep.trend[("pol", 0.5, "cover")] == "increasing"
-    assert rep.trend[("pol", 2.0, "cover")] == "decreasing"
-    assert rep.trend[("pol", 1.0, "cover")] == "flat"
+    assert rep.trend[("pol", 0.5, "cover", 0.1)] == "increasing"
+    assert rep.trend[("pol", 2.0, "cover", 0.1)] == "decreasing"
+    assert rep.trend[("pol", 1.0, "cover", 0.1)] == "flat"
 
 
 def test_slow_entropy_report_rotation_decreasing():
@@ -652,8 +652,8 @@ def test_slow_entropy_report_rotation_decreasing():
         c = cx.min_cover(ROT_SYS, cx.BowenConfig(n_time=m, eps=0.3, grid=16))
         records.append(cx.CountRecord(stage, 4, m, 0.3, "cover", c))
     rep = cx.slow_entropy_report(records, [(fam, [0.5, 1.0])])
-    assert rep.trend[("pol", 0.5, "cover")] == "decreasing"
-    assert rep.trend[("pol", 1.0, "cover")] == "decreasing"
+    assert rep.trend[("pol", 0.5, "cover", 0.3)] == "decreasing"
+    assert rep.trend[("pol", 1.0, "cover", 0.3)] == "decreasing"
 
 
 def test_witness_counts_increase_under_int1_below_one(untwisted_built):
@@ -669,8 +669,8 @@ def test_witness_counts_increase_under_int1_below_one(untwisted_built):
             cx.CountRecord(st.n, st.q, st.q_next, 0.125, "separated", count)
         )
     rep = cx.slow_entropy_report(records, [(fam, [0.5, 1.0])])
-    assert rep.trend[(fam.label(), 0.5, "separated")] == "increasing"
-    assert rep.trend[(fam.label(), 1.0, "separated")] == "increasing"
+    assert rep.trend[(fam.label(), 0.5, "separated", 0.125)] == "increasing"
+    assert rep.trend[(fam.label(), 1.0, "separated", 0.125)] == "increasing"
 
 
 def test_report_csv_columns():
@@ -680,9 +680,26 @@ def test_report_csv_columns():
         cx.CountRecord(3, 16, 64, 0.125, "cover", 20),
     ]
     rep = cx.slow_entropy_report(records, [(fam, [1.0])])
-    lines = rep.csv_lines()
-    assert lines[0] == "stage,horizon,eps,count_kind,count,family,t,log_ratio"
-    assert len(lines) == 3
+    assert cx.RatioRow._fields == (
+        "stage", "horizon", "eps", "count_kind", "count", "family", "t", "log_ratio"
+    )
+    assert len(rep.rows) == 2
+
+
+def test_report_trend_follows_one_radius():
+    # at each radius the ratio rises from stage 2 to stage 3; read across
+    # radii at horizon 64 (400 at eps 0.1, then 40 at eps 0.2) it falls
+    records = [
+        cx.CountRecord(2, 4, 16, 0.1, "cover", 100),
+        cx.CountRecord(2, 4, 16, 0.2, "cover", 10),
+        cx.CountRecord(3, 16, 64, 0.1, "cover", 400),
+        cx.CountRecord(3, 16, 64, 0.2, "cover", 40),
+    ]
+    rep = cx.slow_entropy_report(records, [(ScalingFamily("pol"), [0.5])])
+    assert rep.trend == {
+        ("pol", 0.5, "cover", 0.1): "increasing",
+        ("pol", 0.5, "cover", 0.2): "increasing",
+    }
 
 
 def test_report_rejects_packing_violation():

@@ -496,6 +496,12 @@ def test_text_rejects_more_words_than_its_header():
         WordSelection.from_text("2 4 2 0.25 1\n0011\n0101\n1100\n")
 
 
+@pytest.mark.parametrize("body", ["0011\n010\n", "0011\n01010\n"], ids=["short", "long"])
+def test_text_rejects_ragged_body(body):
+    with pytest.raises(ValueError, match="selection body does not match its header"):
+        WordSelection.from_text("2 4 2 0.25 1\n" + body)
+
+
 @pytest.mark.parametrize("max_rounds", [0, -1])
 def test_sampling_needs_a_round(max_rounds, monkeypatch):
     def no_draw(*args):
