@@ -2,7 +2,6 @@
 complexity measurements."""
 
 from .params import (
-    BigRational,
     ParamProfile,
     StageParams,
     advance_stage,
@@ -10,7 +9,7 @@ from .params import (
     idealized_q_sequence,
     validate_chain,
 )
-from .scaling import ScalingFamily, eval_log, gamma_r, gamma_r_inv, ordering_table
+from .scaling import ScalingFamily, eval_log, ordering_table
 from .diffeo import (
     AbCSystem,
     MapNode,
@@ -18,23 +17,17 @@ from .diffeo import (
     build_ue_h,
     build_untwisted_h,
     build_wm_h,
-    central_index,
     jacobian_mc,
-    orbit,
-    phi_q_eval,
-    square_twist_eval,
 )
 from .words import (
     WordSelection,
     assemble_W,
-    hamming_shift,
     sample_selection,
     verify_selection,
 )
 from .complexity import (
     BowenConfig,
     GridPartition,
-    bowen_dist,
     hamming_cover,
     max_separated,
     min_cover,
@@ -42,6 +35,6 @@ from .complexity import (
     slow_entropy_report,
     witness_untwisted,
 )
-from .normest import check_submultiplicative, dk_distance, triple_norm
+from .normest import dk_distance, triple_norm
 
 __version__ = "0.1.0"

@@ -136,7 +136,10 @@ def _parse_horizons(cfg: ExperimentConfig) -> list[Callable[[params.StageParams]
         if h in _STAGE_HORIZONS:
             out.append(_STAGE_HORIZONS[h])
             continue
-        m = int(h)
+        try:
+            m = int(h)
+        except ValueError:
+            raise ValueError(f"unknown horizon {h!r}: use q, q_next, lq or an integer") from None
         if m < 1:
             raise ValueError("horizons and horizon_cap must be >= 1")
         out.append(lambda st, m=m: m)
@@ -208,6 +211,8 @@ def _budget_estimate(
 
 def cmd_run(cfg: ExperimentConfig, force: bool = False) -> int:
     try:
+        if not cfg.eps_list:
+            raise ValueError("eps_list must not be empty")
         for eps in cfg.eps_list:
             cx.check_grid(cfg.grid, eps)
         cx.check_samples(cfg.hamming_samples, max(cfg.eps_list))
@@ -495,6 +500,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = load_config(getattr(args, "config", None), _overrides(args))
     except ConfigError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    if args.command in ("run", "describe") and max(cfg.n_min, 1) > cfg.n_max:
+        print("validation failure: no stage n with max(n_min, 1) <= n <= n_max", file=sys.stderr)
         return EXIT_VALIDATION
     if args.command == "params":
         return cmd_params(cfg)

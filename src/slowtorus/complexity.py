@@ -45,12 +45,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import diffeo
-from .diffeo import AbCSystem, Array, MapNode, as_points, mod1, orbit_batch, torus_dist
+from .diffeo import AbCSystem, Array, as_points, mod1, orbit_batch, torus_dist
 from .scaling import ScalingFamily, eval_log
 
 _TIME_CHUNK = 256  # widest Bowen distance chunk, in orbit times; the first is one time
@@ -129,30 +129,6 @@ class GridPartition:
         return i * self.ny + j
 
 
-@dataclass(frozen=True)
-class PushforwardPartition:
-    """Image of a grid partition under a map: label(x) = base(node^{-1}(x))."""
-
-    base: GridPartition
-    node: MapNode
-
-    @property
-    def n_cells(self) -> int:
-        return self.base.n_cells
-
-    @property
-    def period(self) -> int:
-        """node commutes with R_{1/node.period}, so R_{1/g} permutes the
-        image cells for g dividing both periods."""
-        return math.gcd(self.node.period, self.base.period)
-
-    def labels(self, pts: Array) -> Array:
-        return self.base.labels(self.node.inverse(np.asarray(pts, dtype=float)))
-
-
-Partition = Union[GridPartition, PushforwardPartition]
-
-
 # ---------------------------------------------------------------------------
 # Bowen metric and greedy packing/cover
 
@@ -161,13 +137,6 @@ def fold_times(sys: AbCSystem, n_time: int, period: int = 0) -> int:
     """min(n_time, w): the orbit times a count over n_time times reads, with
     w = diffeo.orbit_period(sys.H, sys.alpha_next, period)."""
     return min(n_time, diffeo.orbit_period(sys.H, sys.alpha_next, period))
-
-
-def bowen_dist(sys: AbCSystem, x, y, n_time: int) -> float:
-    """max over 0 <= i < n_time of the torus sup-distance of the orbits."""
-    pts = np.stack([as_points(x)[0], as_points(y)[0]])
-    orb = orbit_batch(sys, pts, fold_times(sys, n_time))
-    return float(np.max(torus_dist(orb[:, 0, :], orb[:, 1, :])))
 
 
 def orbit_array(sys: AbCSystem, candidates: Array, times: range) -> Array:
@@ -394,7 +363,7 @@ def witness_untwisted(
 # coded orbits and Hamming covers
 
 
-def code_orbits(sys: AbCSystem, part: Partition, pts: Array, n_time: int) -> Array:
+def code_orbits(sys: AbCSystem, part: GridPartition, pts: Array, n_time: int) -> Array:
     """(n_samples, n_time) label words for many starting points, in the
     smallest unsigned dtype for the labels; the float orbit is never held."""
     u = sys.H.inverse(as_points(pts))
@@ -413,7 +382,7 @@ class HammingCoverResult:
 
 def hamming_cover(
     sys: AbCSystem,
-    part: Partition,
+    part: GridPartition,
     n_time: int,
     eps: float,
     sample_size: int,

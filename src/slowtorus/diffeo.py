@@ -197,13 +197,6 @@ class SquareTwist:
         return out
 
 
-def square_twist_eval(tw: SquareTwist, p, inverse: bool = False) -> Array:
-    """Apply the square twist to a point or point array of [0,1]^2."""
-    a = as_points(p)
-    res = tw.eval(a, inverse=inverse)
-    return res[0] if np.asarray(p).ndim == 1 else res
-
-
 # ---------------------------------------------------------------------------
 # map nodes
 
@@ -350,14 +343,6 @@ class QuasiRotTiled(_TiledTwist):
 
     def _blocks(self, lx: Array) -> tuple:
         return ..., lx, lambda r: r, self.q
-
-
-def phi_q_eval(q: int, eps: float, p, inverse: bool = False) -> Array:
-    """Evaluate the 1/q-rescaled twist at a point or point array."""
-    node = QuasiRotTiled(q=q, eps=eps)
-    a = as_points(p)
-    res = node.apply(a, inverse=inverse)
-    return res[0] if np.asarray(p).ndim == 1 else res
 
 
 @dataclass(frozen=True)
@@ -802,14 +787,6 @@ class AbCSystem:
         return "\n".join(lines)
 
 
-def orbit(sys: AbCSystem, x, L: int) -> Array:
-    """T^t(x) for 0 <= t < L: one inverse pull-back, then forward
-    evaluations with the rotation advanced in exact rational arithmetic."""
-    if L < 1:
-        raise ValueError("L must be >= 1")
-    return orbit_batch(sys, as_points(x), L)[:, 0, :]
-
-
 def orbit_batch(sys: AbCSystem, seeds: Array, n_time: int) -> Array:
     """Orbit positions for many seeds at times 0..n_time-1: returns
     (n_time, n_seeds, 2)."""
@@ -882,24 +859,7 @@ def orbit_images(
 
 
 # ---------------------------------------------------------------------------
-# central index and measure checks
-
-
-def central_index(chain: Sequence[StageParams], n: int) -> int:
-    """Index i minimizing |i/q_n - sum_{m<n} 1/(2 q_m)|, exactly."""
-    st = next(s for s in chain if s.n == n)
-    target = sum((Fraction(1, 2 * s.q) for s in chain if s.n < n), Fraction(0))
-    qn = st.q
-    best = (None, None)
-    # |i/q - target| is unimodal in i; check the two integers around q*target
-    center = target * qn
-    lo = int(math.floor(center))
-    for i in (lo - 1, lo, lo + 1, lo + 2):
-        ii = i % qn
-        val = abs(Fraction(ii, qn) - target)
-        if best[0] is None or val < best[1]:
-            best = (ii, val)
-    return best[0]
+# measure checks
 
 
 def stencil_offsets(h: float, order: int) -> Array:

@@ -18,7 +18,6 @@ import numpy as np
 from .complexity import grid_candidates
 from .diffeo import (
     Array,
-    Composite,
     MapNode,
     central_partials,
     circle_diff,
@@ -124,18 +123,3 @@ def dk_distance(f: MapNode, g: MapNode, k: int, grid: int = _DEFAULT_GRID) -> fl
             pg = central_partials(gv[:, keep], _FD_STEP)
             total = max(total, max(float(np.max(np.abs(a - b))) for a, b in zip(pf, pg)))
     return total
-
-
-def check_submultiplicative(f: MapNode, g: MapNode) -> dict:
-    """|f o g|_1 <= C * |f|_1 * |g|_1 with C = 4 (chain-rule slack), on a
-    47-point grid."""
-    nf, ng, nfg = (triple_norm(h, 1, grid=47).value for h in (f, g, Composite(nodes=(f, g))))
-    C = 4.0
-    return {
-        "lhs": nfg,
-        "rhs": C * nf * ng,
-        "C": C,
-        "norm_f": nf,
-        "norm_g": ng,
-        "ok": nfg <= C * nf * ng,
-    }

@@ -28,10 +28,6 @@ from typing import Sequence
 if sys.get_int_max_str_digits() < 12_000_000:
     sys.set_int_max_str_digits(12_000_000)
 
-# Exact rational in lowest terms with positive denominator.
-BigRational = Fraction
-
-
 class ProfileError(ValueError):
     """A profile target cannot be met; the message names the constraint."""
 

@@ -22,16 +22,9 @@ def config_hash(config: Any) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def header_lines(config: Any) -> list[str]:
-    return [
-        f"# schema_version={SCHEMA_VERSION}",
-        f"# config_sha256={config_hash(config)}",
-    ]
-
-
 def write_with_header(path: Path, config: Any, body: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = "\n".join(header_lines(config)) + "\n" + body
+    text = f"# schema_version={SCHEMA_VERSION}\n# config_sha256={config_hash(config)}\n{body}"
     if not text.endswith("\n"):
         text += "\n"
     path.write_text(text, newline="\n")

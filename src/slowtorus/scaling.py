@@ -6,9 +6,8 @@ families built from the factorial-interpolating function
     G_r(x) = Gamma(x**(1/r) + 1)**r        (r >= 4, x >= 1)
 
 and its numerical inverse.  G_r hits exact factorial products on r-th powers:
-G_r(n**r) = (n!)**r.  Everything evaluates in log-space; plain values may
-return an infinity sentinel when they overflow, and ratio comparisons always
-subtract logs.
+G_r(n**r) = (n!)**r.  Everything evaluates in log-space, and ratio
+comparisons subtract logs.
 """
 from __future__ import annotations
 
@@ -31,13 +30,8 @@ def gamma_r_log(x: float, r: int) -> float:
     if r < 4:
         raise ScaleDomainError("r must be >= 4")
     if x < 1:
-        raise ScaleDomainError(f"gamma_r requires x >= 1, got {x}")
+        raise ScaleDomainError(f"gamma_r_log requires x >= 1, got {x}")
     return r * math.lgamma(x ** (1.0 / r) + 1.0)
-
-
-def gamma_r(x: float, r: int) -> float:
-    """G_r(x); increasing on [1, inf)."""
-    return math.exp(gamma_r_log(x, r))
 
 
 def gamma_r_inv_log(log_y: float, r: int) -> float:
@@ -49,7 +43,7 @@ def gamma_r_inv_log(log_y: float, r: int) -> float:
     if r < 4:
         raise ScaleDomainError("r must be >= 4")
     if log_y < 0:
-        raise ScaleDomainError("gamma_r_inv requires y >= 1")
+        raise ScaleDomainError("gamma_r_inv_log requires y >= 1")
     if log_y == 0.0:
         return 1.0
     lo, hi = 1.0, 2.0
@@ -57,7 +51,7 @@ def gamma_r_inv_log(log_y: float, r: int) -> float:
         lo = hi
         hi *= 4.0
         if hi > 1e300:
-            raise OverflowError("gamma_r_inv bracket blew up")
+            raise OverflowError("gamma_r_inv_log bracket blew up")
     for _ in range(_INV_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if gamma_r_log(mid, r) < log_y:
@@ -67,12 +61,6 @@ def gamma_r_inv_log(log_y: float, r: int) -> float:
         if hi - lo <= _INV_REL_TOL * max(1.0, lo):
             break
     return 0.5 * (lo + hi)
-
-
-def gamma_r_inv(y: float, r: int) -> float:
-    if y < 1:
-        raise ScaleDomainError("gamma_r_inv requires y >= 1")
-    return gamma_r_inv_log(math.log(y), r)
 
 
 @dataclass(frozen=True)
@@ -126,29 +114,10 @@ def eval_log(family: ScalingFamily, m: Number, t: float) -> float:
     return t * lm / (g ** ((family.r - 2) / family.r))
 
 
-def eval(family: ScalingFamily, m: Number, t: float) -> float:  # noqa: A001
-    """a_m(t) as a float; +inf sentinel when the value overflows.
-
-    Callers comparing families should use eval_log and subtract.
-    """
-    lv = eval_log(family, m, t)
-    if lv > 700.0:
-        return math.inf
-    return math.exp(lv)
-
-
 @dataclass(frozen=True)
 class OrderingRow:
     m: Number
     log_ratio: float
-
-    @property
-    def ratio_finite(self) -> str:
-        if self.log_ratio > 700.0:
-            return "inf"
-        if self.log_ratio < -700.0:
-            return "0"
-        return repr(math.exp(self.log_ratio))
 
 
 def ordering_table(

@@ -61,21 +61,6 @@ def separation_threshold(s: int, eps: float) -> float:
     return 1.0 - 1.0 / s - eps * s
 
 
-def hamming_shift(w: Sequence[int], w2: Sequence[int], t: int) -> float:
-    """Normalized Hamming distance between w and w2 slid left by t.
-
-    Compares w[i] against w2[i + t] over the overlap of length k - t.
-    """
-    a = np.asarray(w)
-    b = np.asarray(w2)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("words must be 1-d and of equal length")
-    k = a.shape[0]
-    if not (0 <= t < k):
-        raise ValueError(f"shift must satisfy 0 <= t < {k}")
-    return float(np.mean(a[: k - t] != b[t:]))
-
-
 @dataclass(frozen=True)
 class WordSelection:
     alphabet_size: int

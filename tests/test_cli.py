@@ -484,8 +484,13 @@ def test_run_horizon_below_one_exits_before_building(tmp_path, forbid_build, cap
         ({"horizons": []}, "horizons must not be empty"),
         ({"families": [["int1", 2, 2]]}, "intermediate scales require r >= 4"),
         ({"t_grid": [0]}, "t_grid must be positive"),
+        ({"eps_list": []}, "eps_list must not be empty"),
+        ({"horizons": ["qq"]}, "unknown horizon 'qq': use q, q_next, lq or an integer"),
     ],
-    ids=["grid-zero", "grid-negative", "partition-zero", "no-horizons", "family-r2", "t-zero"],
+    ids=[
+        "grid-zero", "grid-negative", "partition-zero", "no-horizons", "family-r2", "t-zero",
+        "no-eps", "horizon-name",
+    ],
 )
 def test_run_out_of_range_exits_before_building(tmp_path, forbid_build, capsys, override, message):
     cfg_path, outdir = write_config(tmp_path, **override)
@@ -493,6 +498,25 @@ def test_run_out_of_range_exits_before_building(tmp_path, forbid_build, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("validation failure: ") and message in err
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "command, override, flags",
+    [
+        ("run", {"n_min": 3, "n_max": 2}, []),
+        ("run", {}, ["--n-max", "1"]),
+        ("describe", {}, ["--n-max", "1"]),
+    ],
+    ids=["run-n-min-above-n-max", "run-n-max-1", "describe-n-max-1"],
+)
+def test_no_stage_exits_before_building(tmp_path, forbid_build, capsys, command, override, flags):
+    # before, run wrote a header-only raw_counts.csv and describe printed
+    # nothing, and both exited 0
+    cfg_path, _ = write_config(tmp_path, **override)
+    assert cli.main([command, "--config", str(cfg_path), *flags]) == cli.EXIT_VALIDATION
+    err = "validation failure: no stage n with max(n_min, 1) <= n <= n_max\n"
+    assert capsys.readouterr() == ("", err)
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 def test_run_budget_estimate_two_stages(tmp_path, capsys):

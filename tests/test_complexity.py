@@ -27,23 +27,29 @@ ROT_SYS = rotation_system(alpha=Fraction(1, 4))
 # -- Bowen distance ----------------------------------------------------------
 
 
+def bowen_dist(sys, x, y, n_time):
+    """max over 0 <= i < n_time of the torus sup-distance of the orbits."""
+    orb = df.orbit_batch(sys, np.stack([x, y]), cx.fold_times(sys, n_time))
+    return float(np.max(df.torus_dist(orb[:, 0], orb[:, 1])))
+
+
 def test_bowen_identity_is_static_distance():
     x, y = np.array([0.1, 0.2]), np.array([0.4, 0.9])
     d0 = float(df.torus_dist(x, y))
     for m in (1, 5, 50):
-        assert cx.bowen_dist(IDENT_SYS, x, y, m) == pytest.approx(d0, abs=1e-15)
+        assert bowen_dist(IDENT_SYS, x, y, m) == pytest.approx(d0, abs=1e-15)
 
 
 def test_bowen_rotation_is_isometry():
     x, y = np.array([0.15, 0.33]), np.array([0.58, 0.41])
     d0 = float(df.torus_dist(x, y))
     for m in (1, 10, 100):
-        assert cx.bowen_dist(ROT_SYS, x, y, m) == pytest.approx(d0, abs=1e-12)
+        assert bowen_dist(ROT_SYS, x, y, m) == pytest.approx(d0, abs=1e-12)
 
 
 def test_bowen_monotone_in_horizon(untwisted_sys2):
     x, y = np.array([0.12, 0.37]), np.array([0.13, 0.37])
-    vals = [cx.bowen_dist(untwisted_sys2, x, y, m) for m in (1, 4, 16, 64, 256)]
+    vals = [bowen_dist(untwisted_sys2, x, y, m) for m in (1, 4, 16, 64, 256)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
@@ -52,7 +58,7 @@ def test_bowen_jump_at_separation_time(untwisted_sys2):
     # of at least 1/4 within the stage horizon
     pts = cx.witness_set(8, 0.125, 0.125)
     p1, p2 = pts[0], pts[1]
-    d = cx.bowen_dist(untwisted_sys2, p1, p2, untwisted_sys2.q_next)
+    d = bowen_dist(untwisted_sys2, p1, p2, untwisted_sys2.q_next)
     assert d >= 0.25
 
 
@@ -215,15 +221,6 @@ def test_code_orbits_match_direct_labels_on_readme_samples(untwisted_sys2):
         x = u.copy()
         x[:, 0] = df.mod1(u[:, 0] + (t * alpha.numerator % alpha.denominator) / alpha.denominator)
         assert np.array_equal(words[:, t], part.labels(H.forward(x))), t
-
-
-def test_pushforward_partition_labels(untwisted_sys2):
-    base = cx.GridPartition(4, 4)
-    push = cx.PushforwardPartition(base, untwisted_sys2.H)
-    rng = np.random.Generator(np.random.Philox(3))
-    pts = rng.random((500, 2))
-    expect = base.labels(untwisted_sys2.H.inverse(pts))
-    assert np.array_equal(push.labels(pts), expect)
 
 
 def test_hamming_identity_needs_all_cells():
@@ -529,20 +526,6 @@ def test_hamming_cover_folds_exactly(untwisted_sys2, readme_sample, part, T):
     assert (res.count, round(res.covered_fraction * 2000)) == full
 
 
-def test_hamming_cover_folds_exactly_on_a_pushforward_partition(untwisted_sys2):
-    # cells pushed forward by the stage's own stack (period 8) from a 4 x 4
-    # grid: period gcd(8, 4) = 4, so w = 4096/4 = 1024 and T = 2500 reads
-    # J, r = 2, 452
-    sys = untwisted_sys2
-    part = cx.PushforwardPartition(cx.GridPartition(4, 4), sys.H)
-    assert part.period == 4
-    assert df.orbit_period(sys.H, sys.alpha_next, part.period) == 1024
-    res = cx.hamming_cover(sys, part, 2500, 0.25, 400, seed=3)
-    pts = np.random.Generator(np.random.Philox(3)).random((400, 2))
-    full = cx.hamming_greedy(cx.code_orbits(sys, part, pts, 2500), 0.25)
-    assert (res.count, round(res.covered_fraction * 400)) == full
-
-
 def test_bowen_counts_fold_exactly(untwisted_sys2):
     # the README grid: w = 512, so horizons past it read the first 512 times
     sys = untwisted_sys2
@@ -586,10 +569,8 @@ def test_max_separated_and_sandwich_fold_exactly(untwisted_built):
     assert got == tuple(len(cx.greedy_centers(o, e)) for o, e in expect)
 
 
-def test_partition_periods(untwisted_sys2):
+def test_partition_periods():
     assert cx.GridPartition(6, 3).period == 6
-    assert cx.PushforwardPartition(cx.GridPartition(6, 6), df.Rotation(Fraction(1, 3))).period == 6
-    assert cx.PushforwardPartition(cx.GridPartition(6, 6), untwisted_sys2.H).period == 2
 
 
 def test_coded_agreement_tracks_proximity():

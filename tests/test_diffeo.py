@@ -27,20 +27,20 @@ def tdist(a, b):
 
 def test_twist_rotation_zone_example():
     tw = df.SquareTwist(0.1)
-    assert np.allclose(df.square_twist_eval(tw, np.array([0.5, 0.25])), [0.75, 0.5], atol=1e-12)
+    assert np.allclose(tw.eval(np.array([0.5, 0.25])), [0.75, 0.5], atol=1e-12)
 
 
 def test_twist_identity_zone_bitwise():
     tw = df.SquareTwist(0.1)
     p = np.array([0.05, 0.5])
-    out = df.square_twist_eval(tw, p)
+    out = tw.eval(p)
     assert out[0] == p[0] and out[1] == p[1]
 
 
 def test_twist_fixes_center():
     for eps in (0.05, 0.1, 0.2):
         tw = df.SquareTwist(eps)
-        out = df.square_twist_eval(tw, np.array([0.5, 0.5]))
+        out = tw.eval(np.array([0.5, 0.5]))
         assert np.all(out == np.array([0.5, 0.5]))
 
 
@@ -85,7 +85,7 @@ def test_twist_preserves_leaf_radius():
 def test_twist_roundtrip_property(eps, x, y):
     tw = df.SquareTwist(eps)
     p = np.array([x, y])
-    back = df.square_twist_eval(tw, df.square_twist_eval(tw, p), inverse=True)
+    back = tw.eval(tw.eval(p), inverse=True)
     assert np.max(np.abs(back - p)) <= 1e-8
 
 
@@ -102,7 +102,7 @@ def test_phi_q_one_equals_square_twist():
 
 
 def test_phi_q_rescale_example():
-    out = df.phi_q_eval(4, 0.1, np.array([0.125, 0.25]))
+    out = df.QuasiRotTiled(q=4, eps=0.1).apply(np.array([[0.125, 0.25]]))[0]
     assert np.allclose(out, [0.1875, 0.5], atol=1e-12)
 
 
@@ -427,19 +427,19 @@ def test_wm_shear_identity_low_strip():
 def test_orbit_identity_stack_is_rotation():
     st = stage(q=3, l=1, lp=8, eps=Fraction(1, 8))
     sysm = df.AbCSystem(H=df.Rotation(Fraction(0)), alpha_next=Fraction(1, 3), stage=st)
-    orb = df.orbit(sysm, np.array([0.0, 0.0]), 4)
+    orb = df.orbit_batch(sysm, np.array([0.0, 0.0]), 4)[:, 0]
     want = np.array([[0, 0], [1 / 3, 0], [2 / 3, 0], [0, 0]])
     assert np.allclose(orb, want, atol=1e-15)
 
 
 def test_orbit_periodicity(untwisted_sys2):
-    orb = df.orbit(untwisted_sys2, np.array([0.31, 0.47]), untwisted_sys2.q_next + 1)
+    orb = df.orbit_batch(untwisted_sys2, np.array([0.31, 0.47]), untwisted_sys2.q_next + 1)[:, 0]
     assert tdist(orb[-1], orb[0]) <= 1e-9
 
 
 def test_orbit_matches_naive_composition(untwisted_sys2):
     x = np.array([0.23, 0.57])
-    orb = df.orbit(untwisted_sys2, x, 100)
+    orb = df.orbit_batch(untwisted_sys2, x, 100)[:, 0]
     cur = x[None, :].copy()
     for t in range(100):
         assert tdist(cur[0], orb[t]) <= 1e-9, t
@@ -649,19 +649,6 @@ def test_word_phi_serialization_roundtrip():
     phi, _ = wm_stage_node()
     again = df.node_from_json(df.node_to_json(phi))
     assert again == phi
-
-
-# -- central index ----------------------------------------------------------
-
-
-def test_central_index_matches_exhaustive_scan(untwisted_built):
-    chain = untwisted_built.chain
-    for n in (2, 3):
-        got = df.central_index(chain, n)
-        qn = next(s.q for s in chain if s.n == n)
-        target = sum(Fraction(1, 2 * s.q) for s in chain if s.n < n)
-        vals = [abs(Fraction(i, qn) - target) for i in range(qn)]
-        assert vals[got] == min(vals)
 
 
 def test_vertical_shear_fixes_vertical_lines():

@@ -57,7 +57,7 @@ def test_ue_equivariance_and_periodicity():
     rhs = h.forward(pts)
     rhs[:, 0] = (rhs[:, 0] + 1.0 / q) % 1.0
     assert tdist(lhs, rhs) <= 1e-10
-    orb = df.orbit(sys2, np.array([0.3, 0.7]), sys2.q_next + 1)
+    orb = df.orbit_batch(sys2, np.array([0.3, 0.7]), sys2.q_next + 1)[:, 0]
     assert tdist(orb[-1], orb[0]) <= 1e-9
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import slowtorus.diffeo as df
-from slowtorus.normest import check_submultiplicative, dk_distance, triple_norm
+from slowtorus.normest import dk_distance, triple_norm
 
 IDENT = df.Rotation(Fraction(0))
 ROT = df.Rotation(Fraction(1, 3))
@@ -101,12 +101,6 @@ def test_conjugation_distance_linear_in_rotation_gap():
     gaps = [Fraction(1, 8192), Fraction(1, 16384), Fraction(1, 32768)]
     cs = [d1(gap) / float(gap) for gap in gaps]
     assert max(cs) <= 1.6 * min(cs), cs
-
-
-def test_submultiplicative_cases():
-    assert check_submultiplicative(IDENT, IDENT)["ok"]
-    assert check_submultiplicative(ROT, PHI4)["ok"]
-    assert check_submultiplicative(PHI4, PHI4)["ok"]
 
 
 def test_cover_count_bound_from_stack_norm(untwisted_sys2):

@@ -19,24 +19,10 @@ from slowtorus.words import (
     SelectionError,
     WordSelection,
     assemble_W,
-    hamming_shift,
     sample_selection,
     separation_threshold,
     verify_selection,
 )
-
-
-def test_hamming_shift_examples():
-    assert hamming_shift([0, 1, 0, 1], [0, 1, 0, 1], 0) == 0.0
-    assert hamming_shift([0, 1, 0, 1], [1, 0, 1, 0], 0) == 1.0
-    # periodic word against itself at its period: zero distance
-    w = [0, 1, 2, 0, 1, 2]
-    assert hamming_shift(w, w, 3) == 0.0
-
-
-def test_hamming_shift_bounds():
-    with pytest.raises(ValueError):
-        hamming_shift([0, 1], [0, 1], 2)
 
 
 def test_sample_minimal_balanced_word():
