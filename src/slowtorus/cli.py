@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -309,8 +310,11 @@ def cmd_plotdata(report_files: Sequence[str], outdir: str) -> int:
     # every report is read and every file name checked before anything is written
     files: dict = {}  # curve file name -> body
     manifest = []
-    for path_str in report_files:
+    stems = Counter(Path(p).stem for p in report_files)
+    for pos, path_str in enumerate(report_files, 1):
         path = Path(path_str)
+        # reports that share a stem are told apart by their position
+        label = path.stem if stems[path.stem] == 1 else f"{path.stem}-{pos}"
         try:
             text = path.read_text()
         except OSError as exc:
@@ -342,7 +346,7 @@ def cmd_plotdata(report_files: Sequence[str], outdir: str) -> int:
             )
         for (fam, t, kind, eps), rows in sorted(curves.items()):
             safe_fam = fam.replace(",", "_").replace("=", "")
-            name = f"curve_{path.stem}_{safe_fam}_t{t}_eps{eps}_{kind}.dat"
+            name = f"curve_{label}_{safe_fam}_t{t}_eps{eps}_{kind}.dat"
             if name in files:
                 print(f"validation failure: {path}: {name} is written twice", file=sys.stderr)
                 return EXIT_VALIDATION

@@ -17,7 +17,11 @@ running count of mismatches over 512 positions at a time) and drops the item
 once that partial distance reaches the radius.  The drop is exact: a max
 over more times and a count over more positions can only grow, and the
 counts are integers, so every result equals that of full distances, and a
-kept item's distance is its full distance.  The witness check drops a pair
+kept item's distance is its full distance.  The first chunk is read off the
+head, a time-major copy of every item's first-chunk columns: a center is
+measured against the contiguous run of all items after it at once, with no
+gather, and only the items still in the ball and not yet covered are
+gathered, item-major, for the later chunks.  The witness check drops a pair
 at max(eps, the smallest pair distance found so far), so a dropped pair is
 neither a failure (below eps) nor below the minimum: both stay exact.
 
@@ -163,20 +167,36 @@ def _weighted_chunks(bounds: Sequence[int], J: int = 1, r: int = 0) -> list[tupl
     return [(t0, t1, J + (t0 < r)) for t0, t1 in zip(edges, edges[1:])]
 
 
-def _ball(items: Array, c: int, live: Array, radius, metric) -> tuple[Array, Array]:
-    """Rows of ``live`` within ``radius`` of item c, and their distances, for
-    item-major (n, T, ...) ``items`` and ``metric = (chunks, part_dist, combine)``.
+def _head(items: Array, metric) -> Array:
+    """Time-major (t1, n, ...) copy of the first chunk's columns 0:t1 of an
+    item-major (n, T, ...) array, as _ball reads them."""
+    t1 = metric[0][0][1]
+    return np.ascontiguousarray(items[:, :t1].swapaxes(0, 1))
+
+
+def _ball(items: Array, head: Array, c: int, radius, metric, covered=None) -> tuple[Array, Array]:
+    """The items after c within ``radius`` of item c, leaving out those
+    ``covered`` marks, and their distances, for item-major (n, T, ...)
+    ``items``, its _head, and ``metric = (chunks, part_dist, combine)``.
     Over the columns t0:t1 of each (t0, t1, weight) chunk,
-    ``d = combine(d, part_dist(items[live, t0:t1], items[c, t0:t1], weight))``,
-    and a row leaves ``live`` once ``d >= radius``.  ``combine`` must never
-    lower ``d`` (a running max, a sum of counts), so a dropped row ends at
-    radius or beyond, and a kept row's ``d`` is its full distance."""
+    ``d = combine(d, part_dist(a, b, weight, axis))`` with a, b the columns
+    of the candidates and of item c, reduced over their time axis; and a
+    candidate leaves once ``d >= radius``.  ``combine`` must never lower
+    ``d`` (a running max, a sum of counts), so a dropped item ends at
+    radius or beyond, and a kept item's ``d`` is its full distance.  The
+    first chunk measures every later item at once, off ``head``; the later
+    chunks gather the candidates left from ``items``."""
     chunks, part_dist, combine = metric
-    d = 0
-    for t0, t1, weight in chunks:
+    d = part_dist(head[:, c + 1 :], head[:, c : c + 1], chunks[0][2], 0)
+    keep = d < radius
+    if covered is not None:
+        keep &= ~covered[c + 1 :]
+    live = c + 1 + np.flatnonzero(keep)
+    d = d[keep]
+    for t0, t1, weight in chunks[1:]:
         if not len(live):
             break
-        d = combine(d, part_dist(items[live, t0:t1], items[c, t0:t1], weight))
+        d = combine(d, part_dist(items[live, t0:t1], items[c, t0:t1], weight, 1))
         keep = d < radius
         live, d = live[keep], d[keep]
     return live, d
@@ -188,7 +208,7 @@ def _bowen_metric(n_time: int):
     neighbours of the center, then over chunks that double up to _TIME_CHUNK."""
     return (
         _weighted_chunks(_chunk_bounds(n_time, 1, _TIME_CHUNK)),
-        lambda a, b, _: torus_dist(a, b).max(axis=1),
+        lambda a, b, _, axis: torus_dist(a, b).max(axis=axis),
         np.maximum,
     )
 
@@ -198,10 +218,11 @@ def _greedy_balls(items: Array, metric, radius, need=None) -> tuple[list[int], i
     balls: open a ball at the first uncovered item and cover every uncovered
     item whose distance to it is < radius (see _ball); stop once ``need``
     items are covered (default: all).  Every item before the center is
-    already covered, so only the uncovered items after it are measured.
+    already covered, so only the items after it are measured.
     Returns (centers, covered items)."""
     n = items.shape[0]
     need = n if need is None else need
+    head = _head(items, metric)
     covered = np.zeros(n, dtype=bool)
     centers: list[int] = []
     n_cov = 0
@@ -211,7 +232,7 @@ def _greedy_balls(items: Array, metric, radius, need=None) -> tuple[list[int], i
         if covered[c]:
             continue
         centers.append(c)
-        live, _ = _ball(items, c, c + 1 + np.flatnonzero(~covered[c + 1 :]), radius, metric)
+        live, _ = _ball(items, head, c, radius, metric, covered)
         covered[c] = covered[live] = True
         n_cov += 1 + len(live)
     return centers, n_cov
@@ -339,11 +360,12 @@ def witness_untwisted(
     n_time = fold_times(sys, horizon)
     items = diffeo.orbit_images(sys.H, base, sys.alpha_next, n_time).transpose(1, 0, 2)
     metric = _bowen_metric(n_time)
+    head = _head(items, metric)
     n = base.shape[0]
     failures: list[tuple[int, int, float]] = []
     min_sep = math.inf
     for i in range(n - 1):
-        js, d = _ball(items, i, np.arange(i + 1, n), max(eps, min_sep), metric)
+        js, d = _ball(items, head, i, max(eps, min_sep), metric)
         bad = d < eps
         failures += [(i, j, dj) for j, dj in zip(js[bad].tolist(), d[bad].tolist())]
         min_sep = min(min_sep, d.min(initial=math.inf))
@@ -416,9 +438,11 @@ def hamming_greedy(words: Array, eps: float, n_time: Optional[int] = None) -> tu
 
     With T > W the words are folded (see the module docstring): with
     J, r = divmod(T, W), a mismatch in a column below r counts J + 1 times
-    and any other J times.  Mismatches are counted chunk by chunk, as the
-    set bits of the packed mismatch masks times the chunk's weight, and a
-    word leaves the ball's candidates once its count reaches the radius.
+    and any other J times.  Mismatches are counted chunk by chunk: each
+    word's count over the chunk is summed in uint16 (a chunk spans at most
+    _WORD_CHUNK columns), widened to int64 and multiplied by the chunk's
+    weight, and a word leaves the ball's candidates once its count reaches
+    the radius.
     The first chunk spans _WORD_CHUNK of the T positions, ceil(_WORD_CHUNK/J)
     columns, and each next one doubles, up to _WORD_CHUNK columns; no chunk
     straddles r.  The chunks do not start as small as the Bowen ones do:
@@ -434,7 +458,8 @@ def hamming_greedy(words: Array, eps: float, n_time: Optional[int] = None) -> tu
         words,
         (
             _weighted_chunks(_chunk_bounds(W, -(-_WORD_CHUNK // J), _WORD_CHUNK), J, r),
-            lambda a, b, weight: weight * np.bitwise_count(np.packbits(a != b, axis=1)).sum(axis=1),
+            lambda a, b, weight, axis: weight
+            * (a != b).sum(axis=axis, dtype=np.uint16).astype(np.int64),
             np.add,
         ),
         math.ceil(eps * T),

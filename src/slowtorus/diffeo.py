@@ -126,17 +126,23 @@ class SquareTwist:
         s_bottom = 6.0 * rho + u
         return np.where(right, s_right, np.where(top, s_top, np.where(left, s_left, s_bottom)))
 
-    @staticmethod
-    def _on_square(rho: Array, s: Array) -> tuple[Array, Array]:
+    # the point at position s of the leaf rho lies on side k, the count of
+    # s >= rho, 3*rho, 5*rho, 7*rho, at u = _U_RHO[k]*rho + _U_S[k]*s and
+    # v = _V_RHO[k]*rho + _V_S[k]*s.  Each coefficient is 0, +-1 or an even
+    # number up to 8, so each product rounds as 2.0*rho, 6.0*rho, ... do, and
+    # x + (-y) is x - y: every coordinate has the bits of 2.0*rho - s,
+    # s - 6.0*rho and the rest, written out per side.
+    _U_RHO = np.array([1.0, 2.0, -1.0, -6.0, 1.0])
+    _U_S = np.array([0.0, -1.0, 0.0, 1.0, 0.0])
+    _V_RHO = np.array([0.0, 1.0, 4.0, -1.0, -8.0])
+    _V_S = np.array([1.0, 0.0, -1.0, 0.0, 1.0])
+
+    @classmethod
+    def _on_square(cls, rho: Array, s: Array) -> tuple[Array, Array]:
         s = np.mod(s, 8.0 * rho)
-        c1 = s < rho
-        c2 = s < 3.0 * rho
-        c3 = s < 5.0 * rho
-        c4 = s < 7.0 * rho
-        u = np.where(c1, rho, np.where(c2, 2.0 * rho - s, np.where(
-            c3, -rho, np.where(c4, s - 6.0 * rho, rho))))
-        v = np.where(c1, s, np.where(c2, rho, np.where(
-            c3, 4.0 * rho - s, np.where(c4, -rho, s - 8.0 * rho))))
+        k = (s >= rho).astype(np.intp) + (s >= 3.0 * rho) + (s >= 5.0 * rho) + (s >= 7.0 * rho)
+        u = cls._U_RHO[k] * rho + cls._U_S[k] * s
+        v = cls._V_RHO[k] * rho + cls._V_S[k] * s
         return u, v
 
     def _fade(self, rho: Array) -> Array:
@@ -144,33 +150,34 @@ class SquareTwist:
 
     # -- evaluation ---------------------------------------------------------
 
-    def eval(self, pts: Array, inverse: bool = False) -> Array:
-        pts = np.asarray(pts, dtype=float)
-        x = pts[..., 0]
-        y = pts[..., 1]
+    def eval_xy(self, x: Array, y: Array, inverse: bool = False) -> tuple[Array, Array]:
+        """The twist, or its inverse, at the points (x, y) of two float
+        arrays of one shape, as two new arrays."""
         u = x - 0.5
         v = y - 0.5
         rho = np.maximum(np.abs(u), np.abs(v))
-        out = pts.copy()
-
         rotate = rho <= self.r_rotate
         # clockwise (u, v) -> (v, -u) or counterclockwise (u, v) -> (-v, u)
-        turned = (y, 1.0 - x) if inverse else (1.0 - y, x)
-        out[..., 0] = np.where(rotate, turned[0], out[..., 0])
-        out[..., 1] = np.where(rotate, turned[1], out[..., 1])
-
-        mid = (~rotate) & (rho < self.r_identity)
-        if np.any(mid):
+        if inverse:
+            ox, oy = np.where(rotate, y, x), np.where(rotate, 1.0 - x, y)
+        else:
+            ox, oy = np.where(rotate, 1.0 - y, x), np.where(rotate, x, y)
+        mid = np.nonzero((rho > self.r_rotate) & (rho < self.r_identity))
+        if len(mid[0]):
             um, vm, rm = u[mid], v[mid], rho[mid]
             s = self._arclength(um, vm, rm)
             shift = self._fade(rm) * 2.0 * rm
-            s2 = s - shift if inverse else s + shift
-            u2, v2 = self._on_square(rm, s2)
-            res = out[mid]
-            res[..., 0] = u2 + 0.5
-            res[..., 1] = v2 + 0.5
-            out[mid] = res
-        return out
+            u2, v2 = self._on_square(rm, s - shift if inverse else s + shift)
+            ox[mid] = u2 + 0.5
+            oy[mid] = v2 + 0.5
+        return ox, oy
+
+    def eval(self, pts: Array, inverse: bool = False) -> Array:
+        pts = np.asarray(pts, dtype=float)
+        flat = pts.reshape(-1, 2)
+        out = np.empty_like(flat)
+        out[:, 0], out[:, 1] = self.eval_xy(flat[:, 0], flat[:, 1], inverse)
+        return out.reshape(pts.shape)
 
     def smoothness_margin(self, pts: Array) -> Array:
         """Distance to the nearest set where the map is not smooth.
@@ -315,11 +322,16 @@ class _TiledTwist(MapNode):
     def apply(self, pts: Array, inverse: bool = False) -> Array:
         cell, lx, y = self._cell(pts)
         sel, X, back, _ = self._blocks(lx)
-        res = self.twist.eval(np.stack([X, y[sel]], axis=-1), inverse=inverse)
-        bx, by = lx.copy(), y.copy()
-        bx[sel] = back(res[..., 0])
-        by[sel] = res[..., 1]
-        return np.stack([mod1((cell + bx) / self.q), mod1(by)], axis=-1)
+        rx, ry = self.twist.eval_xy(X, y[sel], inverse)
+        if sel is ...:
+            bx, by = back(rx), ry
+        else:  # points outside sel are fixed
+            bx, by = lx.copy(), y.copy()
+            bx[sel], by[sel] = back(rx), ry
+        out = np.empty(lx.shape + (2,))
+        out[..., 0] = mod1((cell + bx) / self.q)
+        out[..., 1] = mod1(by)
+        return out
 
     def smoothness_margin(self, pts: Array) -> Array:
         # a local margin shrinks by the block's stretch
@@ -816,7 +828,8 @@ def orbit_images(
     H R_alpha H^{-1} without the inverse pull-back (base points are given in
     pre-conjugation coordinates), as (n_time, n, 2).  The float orbit is a
     view of a point-major (n, n_time, 2) buffer, so each point's orbit is
-    contiguous (greedy_centers reads it that way).
+    contiguous for the greedy's gathers of its later distance chunks
+    (complexity._ball).
 
     H commutes with R_{1/g} for g = gcd(H.period, Q), alpha = p/Q.  With
     w = Q/g (orbit_period), times t and t + j*w differ in rotation by

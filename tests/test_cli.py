@@ -222,15 +222,38 @@ def test_plotdata_bad_report_writes_nothing(tmp_path, reports):
     assert not plots.exists()
 
 
-def test_plotdata_colliding_names_rejected(tmp_path, capsys):
+def write_reports(tmp_path, names):
+    """GOOD_REPORT at each relative path of ``names``; their paths."""
     paths = []
-    for sub in ("a", "b"):
-        (tmp_path / sub).mkdir()
-        (tmp_path / sub / "counts.csv").write_text(GOOD_REPORT)
-        paths.append(str(tmp_path / sub / "counts.csv"))
+    for name in names:
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(GOOD_REPORT)
+        paths.append(str(path))
+    return paths
+
+
+def test_plotdata_repeated_stems_named_by_position(tmp_path):
+    # two runs' reports are both counts.csv: each curve name takes the
+    # report's position on the command line; a distinct stem keeps its name
+    paths = write_reports(tmp_path, ["a/counts.csv", "b/counts.csv", "c/other.csv"])
+    plots = tmp_path / "plots"
+    assert cli.main(["plotdata", *paths, "--outdir", str(plots)]) == cli.EXIT_OK
+    manifest = json.loads((plots / "manifest.json").read_text())
+    assert [(e["file"], e["source"]) for e in manifest] == [
+        ("curve_counts-1_pol_t0.5_eps0.125_separated.dat", paths[0]),
+        ("curve_counts-2_pol_t0.5_eps0.125_separated.dat", paths[1]),
+        ("curve_other_pol_t0.5_eps0.125_separated.dat", paths[2]),
+    ]
+    assert (plots / manifest[1]["file"]).read_text() == "8 1.25\n"
+
+
+def test_plotdata_colliding_names_rejected(tmp_path, capsys):
+    # the first counts.csv is named counts-1, as the third report is
+    paths = write_reports(tmp_path, ["a/counts.csv", "b/counts.csv", "counts-1.csv"])
     plots = tmp_path / "plots"
     assert cli.main(["plotdata", *paths, "--outdir", str(plots)]) == cli.EXIT_VALIDATION
-    assert "curve_counts_pol_t0.5_eps0.125_separated.dat" in capsys.readouterr().err
+    assert "curve_counts-1_pol_t0.5_eps0.125_separated.dat" in capsys.readouterr().err
     assert not plots.exists()
     # one of them alone keeps its name
     assert cli.main(["plotdata", paths[0], "--outdir", str(plots)]) == cli.EXIT_OK

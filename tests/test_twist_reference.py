@@ -2,11 +2,14 @@
 
 The reference evaluates a tiled twist the way the package once did: one
 square-twist call per block piece (per distinct symbol of a word-driven
-twist), with the leaf coordinates picked by ``np.select``.  The package
-makes one call per leaf call over the whole point array; every point must
-get the same bits either way.
+twist), each on a stacked (m, 2) point array.  Its square twist is the
+package's earlier one, frozen here: it copies the points and overwrites the
+copy twice, selects the annulus by a boolean mask, and picks the leaf
+coordinates by ``np.select``.  Every point must get the same bits either
+way.
 """
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
@@ -14,7 +17,7 @@ import slowtorus.diffeo as df
 
 
 class SelectTwist(df.SquareTwist):
-    """The square twist with its leaf coordinates picked by np.select."""
+    """The square twist as the package once evaluated it."""
 
     @staticmethod
     def _arclength(u, v, rho):
@@ -37,6 +40,39 @@ class SelectTwist(df.SquareTwist):
         u = np.select([c1, c2, c3, c4], [rho, 2.0 * rho - s, -rho, s - 6.0 * rho], default=rho)
         v = np.select([c1, c2, c3, c4], [s, rho, 4.0 * rho - s, -rho], default=s - 8.0 * rho)
         return u, v
+
+    def eval(self, pts, inverse=False):
+        pts = np.asarray(pts, dtype=float)
+        x = pts[..., 0]
+        y = pts[..., 1]
+        u = x - 0.5
+        v = y - 0.5
+        rho = np.maximum(np.abs(u), np.abs(v))
+        out = pts.copy()
+
+        rotate = rho <= self.r_rotate
+        turned = (y, 1.0 - x) if inverse else (1.0 - y, x)
+        out[..., 0] = np.where(rotate, turned[0], out[..., 0])
+        out[..., 1] = np.where(rotate, turned[1], out[..., 1])
+
+        mid = (~rotate) & (rho < self.r_identity)
+        if np.any(mid):
+            um, vm, rm = u[mid], v[mid], rho[mid]
+            s = self._arclength(um, vm, rm)
+            shift = self._fade(rm) * 2.0 * rm
+            s2 = s - shift if inverse else s + shift
+            u2, v2 = self._on_square(rm, s2)
+            res = out[mid]
+            res[..., 0] = u2 + 0.5
+            res[..., 1] = v2 + 0.5
+            out[mid] = res
+        return out
+
+
+def same_bits(a, b):
+    """Equal shapes and equal float64 bits, so -0.0 differs from 0.0."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def reference_pieces(node, lx):
@@ -137,5 +173,86 @@ def test_twist_kinds_match_the_per_piece_reference(node, inverse, seed):
                         rng.random(400)])
     pts = np.stack([x, rng.random(x.size)], axis=-1)
     got = node.inverse(pts) if inverse else node.forward(pts)
-    assert np.array_equal(got, reference_apply(node, pts, inverse))
-    assert np.array_equal(node.smoothness_margin(pts), reference_margin(node, pts))
+    assert same_bits(got, reference_apply(node, pts, inverse))
+    assert same_bits(node.smoothness_margin(pts), reference_margin(node, pts))
+
+
+# the inputs 1.0, -0.0, 0.0 and 0.5 in every pairing
+EDGE_INPUTS = np.array([[a, b] for a in (1.0, -0.0, 0.0, 0.5) for b in (1.0, -0.0, 0.0, 0.5)])
+
+
+def pinned_twist_points(eps):
+    """Points of the square twist where its branches meet, each with its
+    neighbours one ulp either side in x and in y.
+
+    The leaf points at positions 0, rho, 2*rho, ..., 7*rho (the corners, on
+    |u| = |v|, and the side midpoints) of the leaves rho = r_rotate and
+    r_identity and three leaves between them; their images and preimages,
+    whose shifted leaf positions land on those, crossing 0 and 8*rho among
+    them; and EDGE_INPUTS.
+    """
+    tw = SelectTwist(eps)
+    rho = np.concatenate([[tw.r_rotate, tw.r_identity],
+                          tw.r_rotate + eps * np.array([0.25, 0.5, 0.75])])
+    rho, k = np.repeat(rho, 8), np.tile(np.arange(8.0), rho.size)
+    u, v = tw._on_square(rho, k * rho)
+    leaf = np.stack([u + 0.5, v + 0.5], axis=-1)
+    pts = np.concatenate([leaf, tw.eval(leaf), tw.eval(leaf, inverse=True), EDGE_INPUTS])
+    out = [pts]
+    for axis in (0, 1):
+        for to in (-np.inf, np.inf):
+            moved = pts.copy()
+            moved[:, axis] = np.nextafter(moved[:, axis], to)
+            out.append(moved)
+    return np.concatenate(out)
+
+
+def place_in_blocks(node, twist_pts, seed=0):
+    """Torus points that ``node`` hands to its square twist at about
+    ``twist_pts``: one in each of as many random twisted blocks, mapped
+    back through the block's own ``back``."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    m = len(twist_pts)
+    lx = rng.random(64 * m)
+    sel, X, back, _ = node._blocks(lx)
+    r = np.array(X, dtype=float, copy=True)
+    r[:m] = twist_pts[:, 0]
+    x = (rng.integers(0, node.q, m) + back(r)[:m]) / node.q
+    return np.stack([x, twist_pts[:, 1]], axis=-1)
+
+
+PINNED_EPS = [0.02, 0.1, 0.125, 0.24]
+
+
+@pytest.mark.parametrize("eps", PINNED_EPS)
+def test_square_twist_matches_frozen_reference_at_pinned_points(eps):
+    pts = pinned_twist_points(eps)
+    for inverse in (False, True):
+        got = df.SquareTwist(eps).eval(pts, inverse)
+        assert same_bits(got, SelectTwist(eps).eval(pts, inverse))
+    assert same_bits(df.SquareTwist(eps).smoothness_margin(pts),
+                     SelectTwist(eps).smoothness_margin(pts))
+
+
+@pytest.mark.parametrize("eps", PINNED_EPS)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda eps: df.QuasiRotTiled(q=4, eps=eps),
+        lambda eps: df.UntwistedH(q=8, eps=eps),
+        lambda eps: df.WordDrivenPhi(q=2, eps=eps, word=(0, 1, 2, 3, 1, 0, 3, 2), cap_tiles=3),
+    ],
+    ids=["quasi_rot_tiled", "untwisted_h", "word_driven_phi"],
+)
+def test_twist_kinds_match_the_reference_at_pinned_points(make, eps):
+    node = make(eps)
+    twist_pts = pinned_twist_points(eps)
+    # the pinned twist points placed in blocks, and EDGE_INPUTS as torus
+    # points; each with its neighbours one ulp either side in x
+    pts = np.concatenate([place_in_blocks(node, twist_pts), EDGE_INPUTS])
+    pts = np.concatenate([pts] + [np.stack([np.nextafter(pts[:, 0], to), pts[:, 1]], axis=-1)
+                                  for to in (-np.inf, np.inf)])
+    for inverse in (False, True):
+        got = node.inverse(pts) if inverse else node.forward(pts)
+        assert same_bits(got, reference_apply(node, pts, inverse))
+    assert same_bits(node.smoothness_margin(pts), reference_margin(node, pts))
