@@ -11,14 +11,18 @@ S(2e) <= N(e) <= S(e) holds exactly, ties included):
     and removes candidates at Bowen distance < eps (open balls).
 
 Bowen and Hamming covers and the witness check share one membership step,
-which builds each item's distance to a center chunk by chunk (a running max
-of torus distances over chunks of 1, 2, 4, ... times, doubling up to 256; a
-running count of mismatches over 512 positions at a time) and drops the item
-once that partial distance reaches the radius.  The drop is exact: a max
-over more times and a count over more positions can only grow, and the
-counts are integers, so every result equals that of full distances, and a
-kept item's distance is its full distance.  The first chunk is read off the
-head, a time-major copy of every item's first-chunk columns: a center is
+which builds each item's distance to a center chunk by chunk and drops the
+item once that partial distance reaches the radius.  The columns are cut
+into a head and then fixed-width chunks (_chunks): a Bowen distance is a
+running max of torus distances over a head of time 0 alone, then over
+_TIME_CHUNK times at a time; a Hamming distance is a running count of
+mismatches over a head of max(radius, _WORD_CHUNK) positions, then over
+_WORD_CHUNK columns at a time, each chunk's count summed in the smallest
+unsigned dtype that holds its width.  The drop is exact: a max over more
+times and a count over more positions can only grow, and the counts are
+integers, so every result equals that of full distances, whatever the
+chunks, and a kept item's distance is its full distance.  The head is
+also held time-major, a copy of every item's head columns: a center is
 measured against the contiguous run of all items after it at once, with no
 gather, and only the items still in the ball and not yet covered are
 gathered, item-major, for the later chunks.  The witness check drops a pair
@@ -57,8 +61,8 @@ from . import diffeo
 from .diffeo import AbCSystem, Array, as_points, mod1, orbit_batch, torus_dist
 from .scaling import ScalingFamily, eval_log
 
-_TIME_CHUNK = 256  # widest Bowen distance chunk, in orbit times; the first is one time
-_WORD_CHUNK = 512  # word positions in the first Hamming mismatch chunk, columns in the widest
+_TIME_CHUNK = 128  # orbit times per Bowen distance chunk after the head, time 0
+_WORD_CHUNK = 256  # word columns per Hamming mismatch chunk, and the fewest positions in the head
 
 
 class GridError(ValueError):
@@ -150,20 +154,11 @@ def orbit_array(sys: AbCSystem, candidates: Array, times: range) -> Array:
     return orbit_batch(sys, candidates, len(times))
 
 
-def _chunk_bounds(T: int, first: int, widest: int) -> list[int]:
-    """Chunk edges 0 = b0 < b1 < ... = T: the first chunk is ``first`` wide
-    and each next one twice the last, up to ``widest``."""
-    bounds, width = [0], first
-    while bounds[-1] < T:
-        bounds.append(min(bounds[-1] + width, T))
-        width = min(2 * width, widest)
-    return bounds
-
-
-def _weighted_chunks(bounds: Sequence[int], J: int = 1, r: int = 0) -> list[tuple[int, int, int]]:
-    """(t0, t1, weight) per chunk of ``bounds``, split at column r: a column
-    below r weighs J + 1 and any other J (see the module docstring)."""
-    edges = sorted(set(bounds) | {r})
+def _chunks(W: int, head: int, width: int, J: int = 1, r: int = 0) -> list[tuple[int, int, int]]:
+    """(t0, t1, weight) per chunk of W columns: a head of ``head`` columns,
+    then chunks of ``width``, split at column r.  A column below r weighs
+    J + 1 and any other J (see the module docstring)."""
+    edges = sorted({0, *range(min(head, W), W, width), W, r})
     return [(t0, t1, J + (t0 < r)) for t0, t1 in zip(edges, edges[1:])]
 
 
@@ -204,10 +199,10 @@ def _ball(items: Array, head: Array, c: int, radius, metric, covered=None) -> tu
 
 def _bowen_metric(n_time: int):
     """The Bowen metric over n_time orbit times, as _ball's metric: a running
-    max of torus distances over time 0 alone, which drops all but a few grid
-    neighbours of the center, then over chunks that double up to _TIME_CHUNK."""
+    max of torus distances over a head of time 0 alone, which drops all but a
+    few grid neighbours of the center, then over chunks of _TIME_CHUNK times."""
     return (
-        _weighted_chunks(_chunk_bounds(n_time, 1, _TIME_CHUNK)),
+        _chunks(n_time, 1, _TIME_CHUNK),
         lambda a, b, _, axis: torus_dist(a, b).max(axis=axis),
         np.maximum,
     )
@@ -438,15 +433,14 @@ def hamming_greedy(words: Array, eps: float, n_time: Optional[int] = None) -> tu
 
     With T > W the words are folded (see the module docstring): with
     J, r = divmod(T, W), a mismatch in a column below r counts J + 1 times
-    and any other J times.  Mismatches are counted chunk by chunk: each
-    word's count over the chunk is summed in uint16 (a chunk spans at most
-    _WORD_CHUNK columns), widened to int64 and multiplied by the chunk's
-    weight, and a word leaves the ball's candidates once its count reaches
-    the radius.
-    The first chunk spans _WORD_CHUNK of the T positions, ceil(_WORD_CHUNK/J)
-    columns, and each next one doubles, up to _WORD_CHUNK columns; no chunk
-    straddles r.  The chunks do not start as small as the Bowen ones do:
-    fewer positions than the radius cannot drop a word.
+    and any other J times.  Mismatches are counted chunk by chunk (see
+    _ball), and a word leaves the ball's candidates once its count reaches
+    the radius.  The head spans max(radius, _WORD_CHUNK) of the T positions,
+    ceil(max(radius, _WORD_CHUNK)/J) columns: fewer positions than the
+    radius cannot drop a word.  Each later chunk spans _WORD_CHUNK columns,
+    and no chunk straddles r.  A chunk's mismatches are summed in the
+    smallest unsigned dtype that holds its width, then widened to int64 and
+    multiplied by the chunk's weight.
     Returns (balls, covered words)."""
     eps = Fraction(eps)
     W = words.shape[1]
@@ -454,15 +448,16 @@ def hamming_greedy(words: Array, eps: float, n_time: Optional[int] = None) -> tu
     if not 0 < W <= T:
         raise ValueError(f"need 1 <= word columns <= n_time, got {W} columns for {T} times")
     J, r = divmod(T, W)
+    radius = math.ceil(eps * T)
     centers, covered = _greedy_balls(
         words,
         (
-            _weighted_chunks(_chunk_bounds(W, -(-_WORD_CHUNK // J), _WORD_CHUNK), J, r),
+            _chunks(W, -(-max(radius, _WORD_CHUNK) // J), _WORD_CHUNK, J, r),
             lambda a, b, weight, axis: weight
-            * (a != b).sum(axis=axis, dtype=np.uint16).astype(np.int64),
+            * (a != b).sum(axis=axis, dtype=np.min_scalar_type(a.shape[axis])).astype(np.int64),
             np.add,
         ),
-        math.ceil(eps * T),
+        radius,
         need=(1 - eps) * words.shape[0],
     )
     return len(centers), covered

@@ -320,7 +320,9 @@ class _TiledTwist(MapNode):
         return cell, scaled - cell, np.asarray(pts[..., 1], dtype=float)
 
     def apply(self, pts: Array, inverse: bool = False) -> Array:
-        cell, lx, y = self._cell(pts)
+        # on (n, 2) rows, so that a single (2,) point has a block to select
+        pts = np.asarray(pts)
+        cell, lx, y = self._cell(pts.reshape(-1, 2))
         sel, X, back, _ = self._blocks(lx)
         rx, ry = self.twist.eval_xy(X, y[sel], inverse)
         if sel is ...:
@@ -331,7 +333,7 @@ class _TiledTwist(MapNode):
         out = np.empty(lx.shape + (2,))
         out[..., 0] = mod1((cell + bx) / self.q)
         out[..., 1] = mod1(by)
-        return out
+        return out.reshape(pts.shape)
 
     def smoothness_margin(self, pts: Array) -> Array:
         # a local margin shrinks by the block's stretch

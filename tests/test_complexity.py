@@ -339,30 +339,31 @@ def lattice_orbits(draw):
 
 
 def _bowen_tie_case():
-    # eps = 4/32 and T = 600, read in chunks of 1, 2, 4, ..., 128 times, then
-    # 256 and 89: edges 0, 1, 3, 7, 15, 31, 63, 127, 255, 511, 600.  Each
-    # tie point sits at exactly eps from point 0 at one time only, so it stays
-    # out of the ball: point 1 at t=0, the whole first chunk; point 3 at
-    # t=6 and point 4 at t=7, the last and first times of a doubled chunk;
-    # point 5 at t=254 and point 6 at t=255, either side of the first chunk
-    # at the cap; point 7 at t=511, the first time past the first chunk at
-    # the cap, where the width stops doubling; point 8 at t=599, the last
-    # time.  Point 2 is just inside the ball
+    # eps = 4/32 and T = 600, read as the head, time 0, then chunks of 128
+    # times: edges 0, 1, 129, 257, 385, 513, 600.  Each tie point sits at
+    # exactly eps from point 0 at one time only, so it stays out of the
+    # ball: point 1 at t=0, the whole head; point 3 at t=128 and point 4 at
+    # t=129, the last and first times either side of a chunk edge; point 5
+    # at t=512 and point 6 at t=513, either side of the edge before the
+    # short last chunk; point 7 at t=514, the second time of that chunk;
+    # point 8 at t=599, the last time.  Point 2 is just inside the ball
     buf = np.zeros((9, 600, 2))
     buf[1, 0, 0] = 4 / 32
     buf[2, 5, 0] = 3 / 32
-    buf[3, 6, 1] = 4 / 32
-    buf[4, 7, 0] = 4 / 32
-    buf[5, 254, 1] = 4 / 32
-    buf[6, 255, 0] = 4 / 32
-    buf[7, 511, 1] = 4 / 32
+    buf[3, 128, 1] = 4 / 32
+    buf[4, 129, 0] = 4 / 32
+    buf[5, 512, 1] = 4 / 32
+    buf[6, 513, 0] = 4 / 32
+    buf[7, 514, 1] = 4 / 32
     buf[8, 599, 0] = 4 / 32
     return buf.transpose(1, 0, 2), 600, 4 / 32
 
 
-def test_bowen_chunks_double_up_to_the_cap():
-    assert cx._chunk_bounds(600, 1, cx._TIME_CHUNK) == [0, 1, 3, 7, 15, 31, 63, 127, 255, 511, 600]
-    assert cx._chunk_bounds(1, 1, cx._TIME_CHUNK) == [0, 1]
+def test_bowen_chunks_are_time_zero_then_fixed_widths():
+    assert cx._bowen_metric(600)[0] == [
+        (0, 1, 1), (1, 129, 1), (129, 257, 1), (257, 385, 1), (385, 513, 1), (513, 600, 1)
+    ]
+    assert cx._bowen_metric(1)[0] == [(0, 1, 1)]
     orbits, m, eps = _bowen_tie_case()
     assert cx.greedy_centers(orbits, eps) == [0, 1, 3, 4, 5, 6, 7, 8]
 
@@ -431,13 +432,12 @@ def _hamming_stop_case():
 
 
 def _hamming_wide_alphabet_case():
-    # 300 cells as uint16 words of T=1001, which is no multiple of 8, so the
-    # packed mismatch mask of the second chunk (positions 512-1000) ends in
-    # a padded byte.  eps=1/8: radius ceil(125.125) = 126.  Word 1 has exactly
-    # 126 mismatches with word 0, up to the last position, and opens a second
-    # ball; word 2 has 125 and is covered by the first; word 3 has 126 across
-    # the chunk edge and opens a third: (3, 4).  A changed symbol v becomes
-    # (v + 256) % 300, so v < 44 keeps its low byte
+    # 300 cells as uint16 words of T=1001, cut at 256, 512 and 768.  eps=1/8:
+    # radius ceil(125.125) = 126.  Word 1 has exactly 126 mismatches with
+    # word 0, up to the last position, and opens a second ball; word 2 has
+    # 125 and is covered by the first; word 3 has 126 across the chunk edge
+    # at 512 (positions 449-574) and opens a third: (3, 4).  A changed
+    # symbol v becomes (v + 256) % 300, so v < 44 keeps its low byte
     words = np.tile(np.arange(1001, dtype=np.uint16) % 300, (4, 1))
     for i, pos in ((1, slice(875, 1001)), (2, slice(876, 1001)), (3, slice(449, 575))):
         words[i, pos] = (words[i, pos] + 256) % 300
@@ -452,6 +452,15 @@ def _hamming_wide_alphabet_case():
 def test_hamming_greedy_matches_full_counts(case):
     words, eps = case
     assert cx.hamming_greedy(words, eps) == reference_hamming_greedy(words, eps)
+
+
+def test_hamming_head_wider_than_uint16():
+    # eps = 0.99 on words of 70,000 positions: the head spans the radius,
+    # 69,300 columns.  Word 2 differs from word 0 everywhere; a head count
+    # summed in uint16 would wrap to 3,764 and cover it, (1, 3)
+    words = np.zeros((3, 70_000), dtype=np.uint8)
+    words[2] = 1
+    assert cx.hamming_greedy(words, 0.99) == reference_hamming_greedy(words, 0.99) == (1, 2)
 
 
 # -- the fold: one symmetry period weighed as the whole horizon ---------------
@@ -474,6 +483,21 @@ def _hamming_fold_tie_case():
     words[1, 0:2] = 1
     words[2, 5:7] = 1
     return words, 1 / 4, 29
+
+
+def test_folded_hamming_chunks(monkeypatch):
+    # W=512 columns read as T=4095 times at eps=1/8: J, r = 7, 511 and radius
+    # 512, so the head spans ceil(512/7) = 74 columns, then 256, then the
+    # rest up to r, and column 511 alone weighs J
+    seen, chunks = [], cx._chunks
+
+    def spy(*args):
+        seen.append(chunks(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(cx, "_chunks", spy)
+    cx.hamming_greedy(np.zeros((2, 512), dtype=np.uint8), 1 / 8, 4095)
+    assert seen == [[(0, 74, 8), (74, 330, 8), (330, 511, 8), (511, 512, 7)]]
 
 
 def test_hamming_greedy_needs_a_time_per_column():

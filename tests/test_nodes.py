@@ -195,6 +195,19 @@ def test_commutes_with_horizontal_rotation(kind, data, seed):
     assert np.all(tdist(node.forward(moved), want) <= tol)
 
 
+@pytest.mark.parametrize("kind", sorted(NODE_STRATEGIES))
+@prop
+@given(data=hst.data(), seed=hst.integers(0, 2**32))
+@example(data=STRETCHED_STACK, seed=611)
+def test_single_point_is_row_zero_of_a_batch(kind, data, seed):
+    node = data.draw(NODE_STRATEGIES[kind])
+    pt = points(seed, n=1)[0]
+    for f in (node.forward, node.inverse):
+        one = f(pt)
+        assert one.shape == (2,)
+        assert one.tobytes() == f(pt[None])[0].tobytes()
+
+
 def inverse_det_error(node, pts, h):
     """|det D(node^-1) - 1| by central differences at the kept points."""
     vals, keep = df.stencil(node, pts, df.stencil_offsets(h, 1), inverse=True)
