@@ -3,8 +3,10 @@
 Subcommands: params, run, plotdata, words, norms, describe.  A JSON config
 file drives everything; command-line flags override config fields, which
 override defaults.  Outputs are deterministic given (config, seed) and every
-file echoes the config hash.  Exit codes: 0 success, 2 validation failure,
-3 budget exceeded, 4 construction error.
+file echoes the config hash.  Exit codes, each with its stderr prefix: 0
+success, 2 "validation failure: ", 3 "budget exceeded: ", 4 "construction
+error: " (or "selection failed: " from `words`).  Commands raise a CliError
+subclass, which fixes both; only `main` prints it, one prefix per line.
 """
 from __future__ import annotations
 
@@ -29,9 +31,29 @@ EXIT_BUDGET = 3
 EXIT_CONSTRUCTION = 4
 
 
-class ConfigError(ValueError):
-    """A config file cannot be read, holds no JSON object, names fields
-    ExperimentConfig does not have, or holds a value of the wrong type."""
+class CliError(Exception):
+    """A failure a command reports: `main` writes each line of the message
+    to stderr behind the class's `prefix` and exits with its `code`."""
+
+
+class ConfigError(CliError, ValueError):
+    """A config, flag or report the command rejects, among them a config
+    file that cannot be read or holds fields or values ExperimentConfig
+    does not have."""
+
+    code, prefix = EXIT_VALIDATION, "validation failure: "
+
+
+class BudgetExceeded(CliError):
+    code, prefix = EXIT_BUDGET, "budget exceeded: "
+
+
+class BuildFailed(CliError):
+    code, prefix = EXIT_CONSTRUCTION, "construction error: "
+
+
+class SelectionFailed(CliError):
+    code, prefix = EXIT_CONSTRUCTION, "selection failed: "
 
 
 @dataclass(frozen=True)
@@ -158,24 +180,22 @@ def cmd_params(cfg: ExperimentConfig) -> int:
         profile = cfg.profile()
         chain = params.build_chain(profile, cfg.n_max)
     except params.ProfileError as exc:
-        print(f"construction error: {exc}", file=sys.stderr)
-        return EXIT_CONSTRUCTION
+        raise BuildFailed(exc) from exc
     report = params.validate_chain(chain, profile)
     outdir = Path(cfg.outdir)
     reporting.write_with_header(outdir / "chain.json", cfg, params.chain_to_json(chain))
     body = "\n".join(report.lines()) + f"\npassed={report.passed}"
     reporting.write_with_header(outdir / "validation.txt", cfg, body)
     if not report.passed:
-        for r in report.failures():
-            print(f"validation failure: stage {r.stage} {r.name}: {r.detail}", file=sys.stderr)
-        return EXIT_VALIDATION
+        failures = report.failures()
+        raise ConfigError("\n".join(f"stage {r.stage} {r.name}: {r.detail}" for r in failures))
     print(f"chain of {len(chain)} stages written to {outdir / 'chain.json'}")
     return EXIT_OK
 
 
-def _build_or_report(cfg: ExperimentConfig) -> Optional[BuiltChain]:
-    """The configured chain and stage maps, or None after printing the
-    construction error."""
+def _build(cfg: ExperimentConfig) -> BuiltChain:
+    """The configured chain and stage maps; BuildFailed if they cannot be
+    built."""
     try:
         return build_systems(
             cfg.construction,
@@ -187,8 +207,7 @@ def _build_or_report(cfg: ExperimentConfig) -> Optional[BuiltChain]:
             cap_tiles=cfg.cap_tiles,
         )
     except (diffeo.ConstructionError, words.SelectionError, ValueError) as exc:
-        print(f"construction error: {exc}", file=sys.stderr)
-        return None
+        raise BuildFailed(exc) from exc
 
 
 def _budget_estimate(
@@ -223,11 +242,8 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> int:
         if any(t <= 0 for t in cfg.t_grid):
             raise scaling.ScaleDomainError(f"t_grid must be positive, got {list(cfg.t_grid)}")
     except ValueError as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    built = _build_or_report(cfg)
-    if built is None:
-        return EXIT_CONSTRUCTION
+        raise ConfigError(exc) from exc
+    built = _build(cfg)
     outdir = Path(cfg.outdir)
     stages = zip(built.chain, built.selections)
     measured = [(st, sel) for st, sel in stages if cfg.n_min <= st.n <= cfg.n_max]
@@ -241,19 +257,13 @@ def cmd_run(cfg: ExperimentConfig, force: bool = False) -> int:
                 for t in ts:
                     scaling.eval_log(fam, m, t)
     except scaling.ScaleDomainError as exc:
-        print(
-            f"validation failure: scale family {fam.label()} at horizon {m}: {exc}",
-            file=sys.stderr,
-        )
-        return EXIT_VALIDATION
+        raise ConfigError(f"scale family {fam.label()} at horizon {m}: {exc}") from exc
     est = _budget_estimate(cfg, [st for st, _ in measured], horizons)
     if est > cfg.max_orbit_evals and not force:
-        print(
-            f"budget exceeded: estimated {est:.3g} orbit evaluations and witness pair-times "
-            f"> {cfg.max_orbit_evals:.3g} (use --force to override)",
-            file=sys.stderr,
+        raise BudgetExceeded(
+            f"estimated {est:.3g} orbit evaluations and witness pair-times "
+            f"> {cfg.max_orbit_evals:.3g} (use --force to override)"
         )
-        return EXIT_BUDGET
 
     records: list[cx.CountRecord] = []
     summary: list[str] = []
@@ -318,28 +328,20 @@ def cmd_plotdata(report_files: Sequence[str], outdir: str) -> int:
         try:
             text = path.read_text()
         except OSError as exc:
-            print(f"validation failure: cannot read report {path}: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
+            raise ConfigError(f"cannot read report {path}: {exc}") from exc
         lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
         if not lines:
             continue
         header = lines[0].split(",")
         required = {"stage", "horizon", "eps", "family", "t", "log_ratio", "count_kind"}
         if not required.issubset(header):
-            missing = sorted(required - set(header))
-            print(f"validation failure: {path}: missing columns {missing}", file=sys.stderr)
-            return EXIT_VALIDATION
+            raise ConfigError(f"{path}: missing columns {sorted(required - set(header))}")
         idx = {name: header.index(name) for name in header}
         curves: dict = {}
         for ln in lines[1:]:
             cells = ln.split(",")
-            if len(cells) < len(header):
-                print(
-                    f"validation failure: {path}: row {ln!r} has {len(cells)} of "
-                    f"{len(header)} columns",
-                    file=sys.stderr,
-                )
-                return EXIT_VALIDATION
+            if len(cells) != len(header):
+                raise ConfigError(f"{path}: row {ln!r} has {len(cells)} of {len(header)} columns")
             key = tuple(cells[idx[c]] for c in ("family", "t", "count_kind", "eps"))
             curves.setdefault(key, []).append(
                 (cells[idx["horizon"]], cells[idx["log_ratio"]])
@@ -348,8 +350,7 @@ def cmd_plotdata(report_files: Sequence[str], outdir: str) -> int:
             safe_fam = fam.replace(",", "_").replace("=", "")
             name = f"curve_{label}_{safe_fam}_t{t}_eps{eps}_{kind}.dat"
             if name in files:
-                print(f"validation failure: {path}: {name} is written twice", file=sys.stderr)
-                return EXIT_VALIDATION
+                raise ConfigError(f"{path}: {name} is written twice")
             files[name] = "\n".join(f"{m} {v}" for m, v in rows) + "\n"
             manifest.append(
                 {"file": name, "source": str(path), "family": fam, "t": t, "kind": kind, "eps": eps}
@@ -369,11 +370,9 @@ def cmd_words(cfg: ExperimentConfig, s: int, k: int, n_words: int, eps: float) -
     try:
         sel = words.sample_selection(s=s, k=k, n_words=n_words, eps=eps, seed=cfg.seed)
     except ValueError as exc:  # rejected arguments, raised before any sampling
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ConfigError(exc) from exc
     except words.SelectionError as exc:
-        print(f"selection failed: {exc}", file=sys.stderr)
-        return EXIT_CONSTRUCTION
+        raise SelectionFailed(exc) from exc
     outdir = Path(cfg.outdir)
     reporting.write_with_header(outdir / "selection.txt", cfg, sel.to_text())
     rep = sel.report
@@ -398,19 +397,15 @@ _NORM_NODES = {
 
 def cmd_norms(cfg: ExperimentConfig, node_kind: str, q: int, eps: float, k_max: int) -> int:
     if node_kind not in _NORM_NODES:
-        print(f"unknown node kind {node_kind!r}; choose from {sorted(_NORM_NODES)}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ConfigError(f"unknown node kind {node_kind!r}; choose from {sorted(_NORM_NODES)}")
     if cfg.grid < 1:
-        print(f"validation failure: grid must be >= 1, got {cfg.grid}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ConfigError(f"grid must be >= 1, got {cfg.grid}")
     if q < 1:
-        print(f"validation failure: q must be >= 1, got {q}", file=sys.stderr)
-        return EXIT_VALIDATION
+        raise ConfigError(f"q must be >= 1, got {q}")
     try:
         node = _NORM_NODES[node_kind](q, eps)
     except diffeo.ConstructionError as exc:
-        print(f"construction error: {exc}", file=sys.stderr)
-        return EXIT_CONSTRUCTION
+        raise BuildFailed(exc) from exc
     rows = []
     for k in range(0, k_max + 1):
         est = normest.triple_norm(node, k, grid=cfg.grid)
@@ -435,9 +430,7 @@ def cmd_norms(cfg: ExperimentConfig, node_kind: str, q: int, eps: float, k_max: 
 
 
 def cmd_describe(cfg: ExperimentConfig) -> int:
-    built = _build_or_report(cfg)
-    if built is None:
-        return EXIT_CONSTRUCTION
+    built = _build(cfg)
     for st in built.chain:
         if cfg.n_min <= st.n <= cfg.n_max:
             print(built.system(st.n).describe())
@@ -496,29 +489,27 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     _add_common(p_desc)
 
     args = parser.parse_args(argv)
-
-    if args.command == "plotdata":
-        return cmd_plotdata(args.reports, args.outdir)
-
     try:
+        if args.command == "plotdata":
+            return cmd_plotdata(args.reports, args.outdir)
         cfg = load_config(getattr(args, "config", None), _overrides(args))
-    except ConfigError as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    if args.command in ("run", "describe") and max(cfg.n_min, 1) > cfg.n_max:
-        print("validation failure: no stage n with max(n_min, 1) <= n <= n_max", file=sys.stderr)
-        return EXIT_VALIDATION
-    if args.command == "params":
-        return cmd_params(cfg)
-    if args.command == "run":
-        return cmd_run(cfg, force=args.force)
-    if args.command == "words":
-        return cmd_words(cfg, args.alphabet, args.length, args.count, args.eps)
-    if args.command == "norms":
-        return cmd_norms(cfg, args.node, args.q, args.eps, args.k_max)
-    if args.command == "describe":
-        return cmd_describe(cfg)
-    raise AssertionError("unreachable")
+        if args.command in ("run", "describe") and max(cfg.n_min, 1) > cfg.n_max:
+            raise ConfigError("no stage n with max(n_min, 1) <= n <= n_max")
+        if args.command == "params":
+            return cmd_params(cfg)
+        if args.command == "run":
+            return cmd_run(cfg, force=args.force)
+        if args.command == "words":
+            return cmd_words(cfg, args.alphabet, args.length, args.count, args.eps)
+        if args.command == "norms":
+            return cmd_norms(cfg, args.node, args.q, args.eps, args.k_max)
+        if args.command == "describe":
+            return cmd_describe(cfg)
+        raise AssertionError("unreachable")
+    except CliError as exc:
+        for line in str(exc).split("\n"):
+            print(exc.prefix + line, file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -428,19 +428,23 @@ def _repair_uniform(word: Array, s: int, rng: np.random.Generator) -> Array:
     return out
 
 
+# Sampling rounds before sample_selection gives up: the first draw and up
+# to 49 retry rounds.
+_MAX_ROUNDS = 50
+
+
 def sample_selection(
     s: int,
     k: int,
     n_words: int,
     eps: float,
     seed: int,
-    max_rounds: int = 50,
 ) -> WordSelection:
     """Draw, repair and verify a selection; resample failing words.
 
     Deterministic given the seed (counter-based generator).  Raises
     SelectionError with the worst offending pair/shift when the retry budget
-    of ``max_rounds`` sampling rounds is exhausted, which signals that k is
+    of ``_MAX_ROUNDS`` sampling rounds is exhausted, which signals that k is
     below the feasibility threshold for these (s, eps).
 
     Round 1 verifies every comparison.  The later word of each violating one
@@ -457,8 +461,6 @@ def sample_selection(
         raise ValueError(f"a selection needs at least one word, got {n_words}")
     if not 0.0 < eps < 1.0:  # eps >= 1 leaves no shift to verify
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    if max_rounds < 1:
-        raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
     rng = np.random.Generator(np.random.Philox(seed))
 
     def fresh(count: int) -> Array:
@@ -471,7 +473,7 @@ def sample_selection(
     sel = unverified(fresh(n_words))
     report = verify_selection(sel)
     failing = report.failing
-    for _ in range(1, max_rounds):
+    for _ in range(1, _MAX_ROUNDS):
         if not failing:
             break
         redrawn = list(failing)
@@ -485,7 +487,7 @@ def sample_selection(
     if report.passed:
         return replace(sel, verified=True, report=report)
     raise SelectionError(
-        f"retry budget exhausted after {max_rounds} rounds; worst pair "
+        f"retry budget exhausted after {_MAX_ROUNDS} rounds; worst pair "
         f"(i={report.worst_pair[0]}, j={report.worst_pair[1]}, "
         f"t={report.worst_pair[2]}) at distance {report.worst_pair[3]:.4f} "
         f"< threshold {report.threshold:.4f}",

@@ -61,7 +61,7 @@ def test_params_roundtrip_revalidates_identically(tmp_path):
     assert rep1.lines() == rep2.lines()
 
 
-def test_params_eps_violation_exit_code(tmp_path):
+def test_params_eps_violation_exit_code(tmp_path, capsys):
     # strict eps schedule cannot hold at stage 3 when q_3 stays tiny
     cfg_path, _ = write_config(
         tmp_path,
@@ -69,8 +69,12 @@ def test_params_eps_violation_exit_code(tmp_path):
         kl_schedule=[[1, 1, 4], [1, 1, 8], [1, 1, 64]],
         n_max=3,
     )
-    rc = cli.main(["params", "--config", str(cfg_path)])
+    rc = cli.main(["params", "--config", str(cfg_path), "--outdir", str(tmp_path / "p")])
     assert rc == cli.EXIT_VALIDATION
+    # one prefixed line per failing check, after both files are written
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) >= 2 and all(ln.startswith("validation failure: stage ") for ln in err)
+    assert (tmp_path / "p" / "chain.json").exists() and (tmp_path / "p" / "validation.txt").exists()
 
 
 def test_run_outputs_and_determinism(tmp_path):
@@ -187,8 +191,13 @@ def test_plotdata_missing_columns(tmp_path, capsys):
             "stage,horizon,eps,count_kind,count,family,t,log_ratio\n2,8,0.125\n",
             "has 3 of 8 columns",
         ),
+        (
+            "stage,horizon,eps,count_kind,count,family,t,log_ratio\n"
+            "2,8,0.125,cover,56,pol,0.5,1.0,EXTRA\n",
+            "has 9 of 8 columns",
+        ),
     ],
-    ids=["missing-file", "short-row"],
+    ids=["missing-file", "short-row", "long-row"],
 )
 def test_plotdata_unreadable_report_exit_code(tmp_path, capsys, body, message):
     src = tmp_path / "counts.csv"
@@ -381,6 +390,17 @@ def test_norms_q_below_one_exit_code(tmp_path, capsys, monkeypatch, node, q):
     rc = cli.main(["norms", "--config", str(cfg_path), "--node", node, "--q", str(q)])
     assert rc == cli.EXIT_VALIDATION
     assert capsys.readouterr().err.startswith("validation failure: q must be >= 1")
+    assert not outdir.exists()
+
+
+def test_norms_unknown_node_exit_code(tmp_path, capsys):
+    cfg_path, outdir = write_config(tmp_path)
+    rc = cli.main(["norms", "--config", str(cfg_path), "--node", "spiral"])
+    assert rc == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (
+        "validation failure: unknown node kind 'spiral'; "
+        "choose from ['quasi_rot', 'rotation', 'untwisted']\n"
+    )
     assert not outdir.exists()
 
 

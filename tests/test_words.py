@@ -356,8 +356,9 @@ def test_verify_matches_reference_at_scale(seed, monkeypatch):
     monkeypatch.setattr(
         words_module, "verify_selection", lambda sel: first.append(sel) or verify(sel)
     )
+    monkeypatch.setattr(words_module, "_MAX_ROUNDS", 1)
     with pytest.raises(SelectionError):
-        sample_selection(s=4, k=500, n_words=40, eps=1 / 16, seed=seed, max_rounds=1)
+        sample_selection(s=4, k=500, n_words=40, eps=1 / 16, seed=seed)
     rep = verify(first[0])
     assert rep.failing
     assert_report_is(rep, first[0].words, 4, 1 / 16)
@@ -400,17 +401,18 @@ def report_fields(rep):
 # multiple of each alphabet size
 @pytest.mark.parametrize("seed", [*range(16, 24), *range(48, 56)])
 @pytest.mark.parametrize("s, k", [(2, 500), (3, 501), (4, 500)])
-def test_retry_rounds_match_full_verification(s, k, seed):
+def test_retry_rounds_match_full_verification(s, k, seed, monkeypatch):
     rounds = list(reference_rounds(s, k, 40, 1 / 16, seed, 3))
     for max_rounds in (1, 2, 3):
+        monkeypatch.setattr(words_module, "_MAX_ROUNDS", max_rounds)
         sel, want = rounds[min(max_rounds, len(rounds)) - 1]
         if want.passed:
-            got = sample_selection(s, k, 40, 1 / 16, seed, max_rounds=max_rounds)
+            got = sample_selection(s, k, 40, 1 / 16, seed)
             assert np.array_equal(got.words, sel.words) and got.verified
             assert report_fields(got.report) == report_fields(want)
             continue
         with pytest.raises(SelectionError) as err:
-            sample_selection(s, k, 40, 1 / 16, seed, max_rounds=max_rounds)
+            sample_selection(s, k, 40, 1 / 16, seed)
         assert str(err.value) == (
             f"retry budget exhausted after {max_rounds} rounds; worst pair "
             f"(i={want.worst_pair[0]}, j={want.worst_pair[1]}, "
@@ -486,16 +488,6 @@ def test_text_rejects_more_words_than_its_header():
 def test_text_rejects_ragged_body(body):
     with pytest.raises(ValueError, match="selection body does not match its header"):
         WordSelection.from_text("2 4 2 0.25 1\n" + body)
-
-
-@pytest.mark.parametrize("max_rounds", [0, -1])
-def test_sampling_needs_a_round(max_rounds, monkeypatch):
-    def no_draw(*args):
-        raise AssertionError("a word was drawn")
-
-    monkeypatch.setattr(words_module, "_repair_uniform", no_draw)
-    with pytest.raises(ValueError, match=f"max_rounds must be at least 1, got {max_rounds}"):
-        sample_selection(s=4, k=16, n_words=2, eps=0.25, seed=0, max_rounds=max_rounds)
 
 
 def test_verify_memory_stays_lean():
@@ -615,16 +607,17 @@ def test_repair_gives_exact_uniformity(s, mult, seed):
 
 
 @pytest.mark.slow
-def test_single_round_success_monotone_in_k():
+def test_single_round_success_monotone_in_k(monkeypatch):
     # LLN trend: one sampling round (no retries) succeeds more often as k
     # grows; allow one inversion across the 20-seed batches.
+    monkeypatch.setattr(words_module, "_MAX_ROUNDS", 1)
     ks = [500, 1000, 2000, 4000]
     rates = []
     for k in ks:
         succ = 0
         for seed in range(20):
             try:
-                sample_selection(s=4, k=k, n_words=40, eps=1 / 16, seed=seed, max_rounds=1)
+                sample_selection(s=4, k=k, n_words=40, eps=1 / 16, seed=seed)
                 succ += 1
             except SelectionError:
                 pass
