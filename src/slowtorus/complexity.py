@@ -10,11 +10,12 @@ S(2e) <= N(e) <= S(e) holds exactly, ties included):
   * a cover repeatedly opens a ball at the lowest-index uncovered candidate
     and removes candidates at Bowen distance < eps (open balls).
 
-Bowen and Hamming covers and the witness check share one membership step,
-which builds each item's distance to a center chunk by chunk and drops the
-item once that partial distance reaches the radius.  The columns are cut
-into a head and then fixed-width chunks (_chunks): a Bowen distance is a
-running max of torus distances over a head of time 0 alone, then over
+Bowen covers, the witness check and the Hamming covers that the pair index
+below does not take share one membership step, which builds each item's
+distance to a center chunk by chunk and drops the item once that partial
+distance reaches the radius.  The columns are cut into a head and then
+fixed-width chunks (_chunks): a Bowen distance is a running max of torus
+distances over a head of time 0 alone, then over
 _TIME_CHUNK times at a time; a Hamming distance is a running count of
 mismatches over a head of max(radius, _WORD_CHUNK) positions, then over
 _WORD_CHUNK columns at a time, each chunk's count summed in the smallest
@@ -28,6 +29,18 @@ gather, and only the items still in the ball and not yet covered are
 gathered, item-major, for the later chunks.  The witness check drops a pair
 at max(eps, the smallest pair distance found so far), so a dropped pair is
 neither a failure (below eps) nor below the minimum: both stay exact.
+
+A Hamming cover first lists its close word pairs through an exact
+pigeonhole index (_close_pairs).  Every column of a word folded to w columns
+weighs J or J + 1 (see below), so two words closer than the radius differ
+in fewer than nb = ceil(radius/J) columns and agree on one of nb disjoint
+strided blocks of columns.  The words are sorted by each block's key, the
+pairs in runs of equal keys are the candidates, and an exact weighted count
+keeps those within the radius; the greedy reads each ball off that list.
+Where the radius is above J*w, so the blocks cannot all hold a column, or
+where the runs hold more than 2*n*nb pairs (words whose blocks repeat, as
+over few labels), the cover runs the membership step instead.  Both give the
+same balls.
 
 Counts over T orbit times read only the first min(T, w) of them, with w the
 system's orbit period (diffeo.orbit_period): the orbit at time t + j*w is the
@@ -63,6 +76,8 @@ from .scaling import ScalingFamily, eval_log
 
 _TIME_CHUNK = 128  # orbit times per Bowen distance chunk after the head, time 0
 _WORD_CHUNK = 256  # word columns per Hamming mismatch chunk, and the fewest positions in the head
+_KEY_BYTES = 1 << 17  # word labels gathered per group of Hamming index blocks
+_PAIR_BYTES = 1 << 18  # mismatch flags per slice of Hamming candidate pairs
 
 
 class GridError(ValueError):
@@ -208,16 +223,13 @@ def _bowen_metric(n_time: int):
     )
 
 
-def _greedy_balls(items: Array, metric, radius, need=None) -> tuple[list[int], int]:
-    """Greedy cover of the rows of an item-major (n, T, ...) array by open
-    balls: open a ball at the first uncovered item and cover every uncovered
-    item whose distance to it is < radius (see _ball); stop once ``need``
-    items are covered (default: all).  Every item before the center is
-    already covered, so only the items after it are measured.
-    Returns (centers, covered items)."""
-    n = items.shape[0]
+def _greedy(n: int, ball, need=None) -> tuple[list[int], int]:
+    """Greedy cover of n items by balls: open a ball at the first uncovered
+    item and cover the items ``ball(c, covered)`` returns, the uncovered
+    items after c within its radius; stop once ``need`` items are covered
+    (default: all).  Every item before the center is already covered, so
+    only the items after it are measured.  Returns (centers, covered items)."""
     need = n if need is None else need
-    head = _head(items, metric)
     covered = np.zeros(n, dtype=bool)
     centers: list[int] = []
     n_cov = 0
@@ -227,10 +239,19 @@ def _greedy_balls(items: Array, metric, radius, need=None) -> tuple[list[int], i
         if covered[c]:
             continue
         centers.append(c)
-        live, _ = _ball(items, head, c, radius, metric, covered)
+        live = ball(c, covered)
         covered[c] = covered[live] = True
         n_cov += 1 + len(live)
     return centers, n_cov
+
+
+def _greedy_balls(items: Array, metric, radius, need=None) -> tuple[list[int], int]:
+    """_greedy over the rows of an item-major (n, T, ...) array by open balls
+    of ``radius`` under ``metric``, each measured by _ball."""
+    head = _head(items, metric)
+    return _greedy(
+        items.shape[0], lambda c, covered: _ball(items, head, c, radius, metric, covered)[0], need
+    )
 
 
 def greedy_centers(orbits: Array, eps: float) -> list[int]:
@@ -423,6 +444,96 @@ def hamming_cover(
     )
 
 
+def _block_keys(words: Array, nb: int, b0: int, b1: int) -> Array:
+    """(b1 - b0, n) uint64 keys of the blocks b0:b1 of the columns of an
+    (n, W) array of integer label words cut into nb strided blocks, block b
+    holding the columns b, b + nb, b + 2*nb, ...: two words with equal
+    blocks have equal keys.  A block of up to 8 bytes of labels is its own key, zero-padded;
+    a wider block is hashed 8 bytes at a time, so unequal blocks may share a
+    key."""
+    n, W = words.shape
+    width = -(-W // nb)
+    lanes = -(-width * words.itemsize // 8)
+    buf = np.zeros((n, b1 - b0, lanes * 8 // words.itemsize), dtype=words.dtype)
+    for k in range(width):
+        lo, hi = b0 + k * nb, min(b1 + k * nb, W)
+        if lo < hi:
+            buf[:, : hi - lo, k] = words[:, lo:hi]
+    lane = buf.view(np.uint64)
+    key = lane[..., 0].copy()
+    for i in range(1, lanes):
+        key ^= key >> 29
+        key *= np.uint64(0x9E3779B97F4A7C15)
+        key ^= lane[..., i]
+    return np.ascontiguousarray(key.T)
+
+
+def _distinct(a: Array) -> Array:
+    """The distinct values of a non-negative int array, sorted: a sort and
+    a neighbour test, which took a quarter of np.unique's time on the
+    README words' pair codes."""
+    a = np.sort(a)
+    return a[np.diff(a, prepend=-1) > 0]
+
+
+def _run_pairs(members: Array, length: Array, n: int) -> Array:
+    """The pairs i < j of words that share a run, as distinct sorted codes
+    i*n + j, for runs of the given lengths listed one after another in
+    ``members``: position p of a run that ends before e pairs with
+    p + 1, ..., e - 1."""
+    after = np.repeat(np.cumsum(length), length) - 1 - np.arange(len(members))
+    a = np.repeat(np.arange(len(members)), after)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(after) - after, after)
+    wa, wb = members[a].astype(np.int64), members[b].astype(np.int64)
+    return _distinct(np.minimum(wa, wb) * n + np.maximum(wa, wb))
+
+
+def _close_pairs(words: Array, J: int, r: int, radius: int) -> Optional[tuple[Array, Array]]:
+    """Every pair i < j of rows of an (n, W) word array whose weighted
+    mismatch count is below ``radius`` (a column below r weighs J + 1, any
+    other J), as two int64 arrays sorted by (i, j); or None where the
+    pigeonhole index does not pay.
+
+    Every column weighs at least J, so such a pair mismatches in fewer than
+    nb = ceil(radius/J) columns and agrees on at least one of nb disjoint
+    blocks of columns.  Each block's words are sorted by _block_keys, a
+    group of blocks at a time; the pairs within each run of equal keys are
+    the candidates, and those whose exact weighted count, taken a slice of
+    pairs at a time, is below the radius are kept.  None where nb > W (some
+    block would hold no column), where n < 2 (there is no pair), or where
+    the runs hold more than 2*n*nb pairs: words whose blocks repeat, as
+    over few labels, cost less through _ball's early drop."""
+    n, W = words.shape
+    nb = -(-radius // J)
+    if nb > W or n < 2:
+        return None
+    group = max(1, _KEY_BYTES // (n * -(-W // nb) * words.itemsize))
+    runs, n_run_pairs = [], 0
+    for b0 in range(0, nb, group):
+        keys = _block_keys(words, nb, b0, min(b0 + group, nb))
+        order = np.argsort(keys, axis=1)
+        keys = np.take_along_axis(keys, order, axis=1).ravel()
+        new = np.ones(keys.size, dtype=bool)  # a run of equal keys starts
+        new[1:] = keys[1:] != keys[:-1]
+        new[::n] = True  # every block starts a run
+        length = np.diff(np.flatnonzero(new), append=keys.size)
+        n_run_pairs += int((length * (length - 1) // 2).sum())
+        if n_run_pairs > 2 * n * nb:
+            return None
+        # the words of the runs of two or more, in the smallest dtype
+        members = order.ravel()[np.repeat(length > 1, length)]
+        runs.append((members.astype(np.min_scalar_type(n - 1)), length[length > 1]))
+    pairs = _distinct(np.concatenate([_run_pairs(m, length, n) for m, length in runs]))
+    i, j = np.divmod(pairs, n)
+    close = np.empty(len(pairs), dtype=bool)
+    step = max(1, _PAIR_BYTES // W)
+    for s in range(0, len(pairs), step):
+        ne = words[i[s : s + step]] != words[j[s : s + step]]
+        d = J * np.count_nonzero(ne, axis=1) + np.count_nonzero(ne[:, :r], axis=1)
+        close[s : s + step] = d < radius
+    return i[close], j[close]
+
+
 def hamming_greedy(words: Array, eps: float, n_time: Optional[int] = None) -> tuple[int, int]:
     """Greedy cover of the rows of an (n, W) word array, read as words of
     T = n_time positions (default W): open a ball at the first uncovered
@@ -433,33 +544,48 @@ def hamming_greedy(words: Array, eps: float, n_time: Optional[int] = None) -> tu
 
     With T > W the words are folded (see the module docstring): with
     J, r = divmod(T, W), a mismatch in a column below r counts J + 1 times
-    and any other J times.  Mismatches are counted chunk by chunk (see
-    _ball), and a word leaves the ball's candidates once its count reaches
-    the radius.  The head spans max(radius, _WORD_CHUNK) of the T positions,
-    ceil(max(radius, _WORD_CHUNK)/J) columns: fewer positions than the
-    radius cannot drop a word.  Each later chunk spans _WORD_CHUNK columns,
-    and no chunk straddles r.  A chunk's mismatches are summed in the
-    smallest unsigned dtype that holds its width, then widened to int64 and
-    multiplied by the chunk's weight.
+    and any other J times.  The close pairs come from the pigeonhole index
+    of _close_pairs, and each ball is the center's listed later neighbours
+    not yet covered.  Where that index does not pay, each ball is measured
+    by _ball: mismatches are counted chunk by chunk, and a word leaves the
+    ball's candidates once its count reaches the radius.  The head spans
+    max(radius, _WORD_CHUNK) of the T positions, ceil(max(radius,
+    _WORD_CHUNK)/J) columns: fewer positions than the radius cannot drop a
+    word.  Each later chunk spans _WORD_CHUNK columns, and no chunk
+    straddles r.  A chunk's mismatches are summed in the smallest unsigned
+    dtype that holds its width, then widened to int64 and multiplied by the
+    chunk's weight.  Both ways give the same balls.
     Returns (balls, covered words)."""
     eps = Fraction(eps)
-    W = words.shape[1]
+    n, W = words.shape
     T = W if n_time is None else n_time
     if not 0 < W <= T:
         raise ValueError(f"need 1 <= word columns <= n_time, got {W} columns for {T} times")
     J, r = divmod(T, W)
     radius = math.ceil(eps * T)
-    centers, covered = _greedy_balls(
-        words,
-        (
-            _chunks(W, -(-max(radius, _WORD_CHUNK) // J), _WORD_CHUNK, J, r),
-            lambda a, b, weight, axis: weight
-            * (a != b).sum(axis=axis, dtype=np.min_scalar_type(a.shape[axis])).astype(np.int64),
-            np.add,
-        ),
-        radius,
-        need=(1 - eps) * words.shape[0],
-    )
+    need = math.ceil((1 - eps) * n)
+    pairs = _close_pairs(words, J, r, radius)
+    if pairs is None:
+        centers, covered = _greedy_balls(
+            words,
+            (
+                _chunks(W, -(-max(radius, _WORD_CHUNK) // J), _WORD_CHUNK, J, r),
+                lambda a, b, weight, axis: weight
+                * (a != b).sum(axis=axis, dtype=np.min_scalar_type(a.shape[axis])).astype(np.int64),
+                np.add,
+            ),
+            radius,
+            need,
+        )
+    else:
+        i, j = pairs
+        first = np.searchsorted(i, np.arange(n + 1))
+
+        def ball(c, covered):
+            near = j[first[c] : first[c + 1]]
+            return near[~covered[near]]
+
+        centers, covered = _greedy(n, ball, need)
     return len(centers), covered
 
 

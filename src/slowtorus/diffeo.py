@@ -34,7 +34,7 @@ from .words import word_from_text, word_to_text
 
 Array = np.ndarray
 
-ORBIT_CHUNK_POINTS = 4096
+ORBIT_CHUNK_POINTS = 8192
 
 
 class ConstructionError(ValueError):
@@ -116,11 +116,13 @@ class SquareTwist:
 
     @staticmethod
     def _arclength(u: Array, v: Array, rho: Array) -> Array:
-        """Position along the square leaf, counterclockwise from (rho, 0)."""
+        """Position along the square leaf, counterclockwise from (rho, 0).
+        |v| <= rho, so this is np.mod(v, 8*rho) with the same bits: v is
+        never -0.0, being y - 0.5."""
         right = u >= np.abs(v)
         top = v >= np.abs(u)
         left = -u >= np.abs(v)
-        s_right = np.mod(v, 8.0 * rho)
+        s_right = np.where(v < 0, v + 8.0 * rho, v)
         s_top = 2.0 * rho - u
         s_left = 4.0 * rho - v
         s_bottom = 6.0 * rho + u
@@ -139,7 +141,11 @@ class SquareTwist:
 
     @classmethod
     def _on_square(cls, rho: Array, s: Array) -> tuple[Array, Array]:
-        s = np.mod(s, 8.0 * rho)
+        # s is a leaf position shifted by at most 2*rho, in [-2*rho, 10*rho],
+        # so this is np.mod(s, 8*rho) with the same bits: s - 8*rho is exact
+        # (Sterbenz), as s < 16*rho
+        perimeter = 8.0 * rho
+        s = np.where(s < 0, s + perimeter, np.where(s >= perimeter, s - perimeter, s))
         k = (s >= rho).astype(np.intp) + (s >= 3.0 * rho) + (s >= 5.0 * rho) + (s >= 7.0 * rho)
         u = cls._U_RHO[k] * rho + cls._U_S[k] * s
         v = cls._V_RHO[k] * rho + cls._V_S[k] * s
@@ -634,7 +640,8 @@ class WordDrivenPhi(_TiledTwist):
 
     @functools.cached_property
     def _block_tiles(self) -> Array:  # tiles_for of each block's symbol
-        return np.array([self.tiles_for(s) for s in self.word], dtype=np.int64)
+        symbols, block_symbol = np.unique(self.word, return_inverse=True)
+        return np.array([self.tiles_for(int(s)) for s in symbols], dtype=np.int64)[block_symbol]
 
     def _blocks(self, lx: Array) -> tuple:
         # a block of symbol j holds tiles_for(j) twists side by side

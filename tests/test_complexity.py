@@ -488,7 +488,9 @@ def _hamming_fold_tie_case():
 def test_folded_hamming_chunks(monkeypatch):
     # W=512 columns read as T=4095 times at eps=1/8: J, r = 7, 511 and radius
     # 512, so the head spans ceil(512/7) = 74 columns, then 256, then the
-    # rest up to r, and column 511 alone weighs J
+    # rest up to r, and column 511 alone weighs J.  Six equal words share
+    # every one of the 74 index blocks: 74 * 15 run pairs > 2 * 6 * 74, so
+    # they take the ball path, whose chunks these are
     seen, chunks = [], cx._chunks
 
     def spy(*args):
@@ -496,7 +498,7 @@ def test_folded_hamming_chunks(monkeypatch):
         return seen[-1]
 
     monkeypatch.setattr(cx, "_chunks", spy)
-    cx.hamming_greedy(np.zeros((2, 512), dtype=np.uint8), 1 / 8, 4095)
+    assert cx.hamming_greedy(np.zeros((6, 512), dtype=np.uint8), 1 / 8, 4095) == (1, 6)
     assert seen == [[(0, 74, 8), (74, 330, 8), (330, 511, 8), (511, 512, 7)]]
 
 
@@ -521,6 +523,78 @@ def folded_words(draw):
 def test_hamming_greedy_folded_matches_unfolded_counts(case):
     words, eps, T = case
     assert cx.hamming_greedy(words, eps, T) == reference_hamming_greedy(unfold(words, T), eps)
+
+
+# -- the pigeonhole index of close pairs against full counts -----------------
+
+
+@hst.composite
+def pigeonhole_words(draw):
+    """(words, eps, T): words of W columns read as T = J*W + r times, J up to
+    4, of one of three kinds.  Words over 1 to 3 labels repeat their index
+    blocks and mostly take the ball path; near words (copies of earlier
+    words with about radius/J columns changed) mostly take the index; and
+    eps = 0.99 with r > 0 puts the radius above J*W, where no block split
+    holds and the ball path runs.  uint8 labels, or uint16 ones that share
+    their low byte, whose blocks are hashed once they pass 8 bytes."""
+    kind = draw(hst.sampled_from(["few labels", "near", "wide radius"]))
+    rng = np.random.default_rng(draw(hst.integers(min_value=0, max_value=2**32 - 1)))
+    J = draw(hst.integers(min_value=1, max_value=4))
+    if kind == "wide radius":
+        W = draw(hst.integers(min_value=2, max_value=24))
+        r = draw(hst.integers(min_value=1, max_value=W - 1))
+        n = draw(hst.integers(min_value=1, max_value=12))
+        eps = 0.99
+        words = rng.integers(0, 2, size=(n, W)).astype(np.uint8)
+    else:
+        W = draw(hst.integers(min_value=1, max_value=300))
+        r = draw(hst.integers(min_value=0, max_value=W - 1))
+        eps = draw(hst.sampled_from([1 / 16, 0.1, 1 / 8, 0.3, 1 / 3]))
+        if kind == "few labels":
+            n = draw(hst.integers(min_value=1, max_value=40))
+            labels = draw(hst.integers(min_value=1, max_value=3))
+            words = rng.integers(0, labels, size=(n, W)).astype(np.uint8)
+        else:
+            n = draw(hst.integers(min_value=1, max_value=12))
+            cols = math.ceil(Fraction(eps) * (J * W + r)) // J
+            words = np.zeros((n, W), dtype=np.uint8)
+            words[0] = rng.integers(0, 3, size=W)
+            for i in range(1, n):
+                changes = draw(hst.sampled_from([cols - 1, cols, cols + 1, W]))
+                pos = rng.choice(W, size=min(max(changes, 0), W), replace=False)
+                words[i] = words[draw(hst.integers(min_value=0, max_value=i - 1))]
+                words[i, pos] = (words[i, pos] + rng.integers(1, 3, size=len(pos))) % 3
+    if draw(hst.booleans()):
+        words = words.astype(np.uint16) * 256
+    return words, eps, J * W + r
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=pigeonhole_words())
+def test_hamming_greedy_index_and_balls_match_full_counts(case):
+    words, eps, T = case
+    assert cx.hamming_greedy(words, eps, T) == reference_hamming_greedy(unfold(words, T), eps)
+
+
+def test_hamming_index_path_choice(monkeypatch, untwisted_sys2, readme_sample):
+    # the README stage-2 words (8 x 8 cells, 512 columns read as 4096 times,
+    # radius 512) take the index: 64 blocks of 8 columns, whose runs hold
+    # about 0.6 * n * 64 pairs.  Dense words, 8000 samples over 2 x 2 cells
+    # at T = 1, put every sample in one of 4 runs of the one block, and take
+    # the ball path
+    calls, balls = [], cx._greedy_balls
+
+    def spy(*args):
+        calls.append(args[0].shape)
+        return balls(*args)
+
+    monkeypatch.setattr(cx, "_greedy_balls", spy)
+    words = cx.code_orbits(untwisted_sys2, cx.GridPartition(8, 8), readme_sample, 512)
+    assert cx.hamming_greedy(words, 0.125, 4096) == (1070, 1750)
+    assert calls == []
+    dense = np.random.default_rng(1).integers(0, 4, size=(8000, 1)).astype(np.uint8)
+    assert cx.hamming_greedy(dense, 0.125, 1) == (4, 8000)
+    assert calls == [(8000, 1)]
 
 
 @pytest.fixture(scope="module")
